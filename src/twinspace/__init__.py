@@ -42,6 +42,7 @@ from .distinguish import (
 )
 from .errors import (
     DimensionMismatchError,
+    InsufficientTrialsError,
     KernelDimensionError,
     MeasurementValidationError,
     NoStoryInMixtureError,

@@ -206,12 +206,9 @@ def cmd_montecarlo(args) -> int:
 def cmd_validate(args) -> int:
     if args.workspace is None:
         # The bundled workspace is constructed validated; report its names.
-        ws = builtin_workspace()
-        rows = [("states", n, True, "ok") for n in sorted(ws.states)]
-        rows += [("vectors", n, True, "ok") for n in sorted(ws.vectors)]
-        rows += [("measurements", n, True, "ok")
-                 for n in sorted(ws.measurements)]
-        rows += [("mixtures", n, True, "ok") for n in sorted(ws.mixture_refs)]
+        rows = [(section, name, True, "ok") for section, table
+                in builtin_workspace().to_json_dict().items()
+                for name in sorted(table)]
     else:
         rows = validate_workspace_file(args.workspace)
     ok = all(r[2] for r in rows)

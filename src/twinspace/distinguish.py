@@ -43,8 +43,9 @@ from .errors import (
 from .measurement import (
     Measurement,
     OutcomeDistribution,
+    _abl_distribution,
+    _story_amplitudes,
     abl_probabilities,
-    forms_story,
     random_measurement,
 )
 
@@ -106,15 +107,18 @@ def mixture_statistics(mix: Mixture, m: Measurement,
                        tol: float = DEFAULT_TOL) -> OutcomeDistribution:
     """Conditional outcome distribution of a mixture on one measurement.
 
-    Convex combination of the component ABL distributions over the
-    story-forming components, with their weights renormalized.  Raises
-    NoStoryInMixture when no component (of positive weight) forms a story.
+    The prior-weighted rule: convex combination of the component ABL
+    distributions over the story-forming components, prior weights
+    renormalized (not weighted by post-selection success, unlike
+    ``montecarlo.simulate_mixture``).  Raises NoStoryInMixture when no
+    component (of positive weight) forms a story.
     """
     weights, dists = [], []
     for w, v in mix.components:
-        if forms_story(v, m, tol):
+        amps, story = _story_amplitudes(v, m, tol)
+        if story:
             weights.append(w)
-            dists.append(abl_probabilities(v, m, tol).probabilities)
+            dists.append(_abl_distribution(amps).probabilities)
     total = sum(weights)
     if not weights or total <= 0.0:
         raise NoStoryInMixtureError(
@@ -122,6 +126,14 @@ def mixture_statistics(mix: Mixture, m: Measurement,
         )
     combined = sum((w / total) * d for w, d in zip(weights, dists))
     return OutcomeDistribution(combined)
+
+
+def _statistics_or_none(mix: Mixture, m: Measurement,
+                        tol: float) -> OutcomeDistribution | None:
+    try:
+        return mixture_statistics(mix, m, tol)
+    except NoStoryInMixtureError:
+        return None
 
 
 def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
@@ -142,14 +154,7 @@ def replicates_on(a: Mixture, b: Mixture, m: Measurement,
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    try:
-        da = mixture_statistics(a, m, tol)
-    except NoStoryInMixtureError:
-        da = None
-    try:
-        db = mixture_statistics(b, m, tol)
-    except NoStoryInMixtureError:
-        db = None
+    da, db = (_statistics_or_none(x, m, tol) for x in (a, b))
     if (da is None) != (db is None):
         return False
     if da is None:
@@ -167,15 +172,13 @@ def time_reversal_equivalence_check(v: TwoStateVector, measurements,
     """
     rev = time_reverse(v)
     for m in measurements:
-        sv, sr = forms_story(v, m, tol), forms_story(rev, m, tol)
+        av, sv = _story_amplitudes(v, m, tol)
+        ar, sr = _story_amplitudes(rev, m, tol)
         if sv != sr:
             return False
-        if sv:
-            gap = distribution_gap(
-                abl_probabilities(v, m, tol), abl_probabilities(rev, m, tol)
-            )
-            if gap > tol:
-                return False
+        if sv and distribution_gap(_abl_distribution(av),
+                                   _abl_distribution(ar)) > tol:
+            return False
     return True
 
 
@@ -221,14 +224,7 @@ def search_distinguishing_measurement(
         raise ShapeMismatchError("trials must be >= 1")
     for t in range(trials):
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
-        try:
-            da = mixture_statistics(a, m, tol)
-        except NoStoryInMixtureError:
-            da = None
-        try:
-            db = mixture_statistics(b, m, tol)
-        except NoStoryInMixtureError:
-            db = None
+        da, db = (_statistics_or_none(x, m, tol) for x in (a, b))
         if (da is None) != (db is None):
             return SearchResult(m, 1.0, t, trials, seed)
         if da is None:

@@ -72,6 +72,10 @@ class NoSuccessesError(TwinspaceError):
     empirical distribution undefined."""
 
 
+class InsufficientTrialsError(TwinspaceError, ValueError):
+    """Too few trials for a meaningful Monte Carlo sigma bound."""
+
+
 class ShapeMismatchError(TwinspaceError):
     """An array argument has the wrong shape."""
 

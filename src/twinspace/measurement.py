@@ -8,9 +8,14 @@ relevant quantity is the complex outcome amplitude
 
 the trace functional evaluated on P_i v.  For a separable v = |pre> (x) <post|
 this is the transition amplitude <post|P_i|pre>.  A pair (v, m) *forms a
-story* when at least one outcome amplitude is nonzero (numerically: above
-tol * ||v||); in that case the ABL rule assigns conditional outcome
-probabilities
+story* when at least one outcome amplitude is nonzero.  Every story decision
+in the package (ABL, mixtures, time reversal, null-subspace membership, the
+Monte Carlo gates) applies one numerical rule:
+
+    (v, m) forms a story  <=>  max_i |A_i(v)| > tol * ||v|| .
+
+For a story the ABL rule (Aharonov, Bergmann & Lebowitz 1964) assigns
+conditional outcome probabilities
 
     Prob(i) = |A_i(v)|^2 / sum_j |A_j(v)|^2 .
 
@@ -265,11 +270,24 @@ def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
     return np.einsum("kij,ji->k", m._stacked, v.matrix)
 
 
+def _story_amplitudes(v: TwoStateVector, m: Measurement,
+                      tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """Outcome amplitudes of (v, m) and whether the pair forms a story,
+    decided by the package's one story rule max_i |A_i| > tol * ||v||."""
+    amps = outcome_amplitudes(v, m)
+    return amps, float(np.max(np.abs(amps))) > tol * v.hs_norm
+
+
+def _abl_distribution(amps: np.ndarray) -> "OutcomeDistribution":
+    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story."""
+    weights = np.abs(amps) ** 2
+    return OutcomeDistribution(weights / float(np.sum(weights)))
+
+
 def forms_story(v: TwoStateVector, m: Measurement,
                 tol: float = DEFAULT_TOL) -> bool:
     """True iff some outcome amplitude exceeds tol * ||v|| in magnitude."""
-    amps = outcome_amplitudes(v, m)
-    return float(np.max(np.abs(amps))) > tol * v.hs_norm
+    return _story_amplitudes(v, m, tol)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,18 +325,16 @@ def abl_probabilities(v: TwoStateVector, m: Measurement,
                       tol: float = DEFAULT_TOL) -> OutcomeDistribution:
     """Conditional probabilities |A_i|^2 / sum_j |A_j|^2 of the story (v, m).
 
-    Raises NotAStory when the normalizing sum is at or below
-    (tol * ||v||)^2, i.e. when no outcome amplitude survives.
+    Raises NotAStory exactly when ``forms_story`` is false, i.e. when every
+    |A_i| is at or below tol * ||v||.
     """
-    amps = outcome_amplitudes(v, m)
-    weights = np.abs(amps) ** 2
-    denom = float(np.sum(weights))
-    if denom <= (tol * v.hs_norm) ** 2:
+    amps, story = _story_amplitudes(v, m, tol)
+    if not story:
         raise NotAStoryError(
             "every outcome amplitude vanishes; conditional probabilities "
             "are undefined"
         )
-    return OutcomeDistribution(weights / denom)
+    return _abl_distribution(amps)
 
 
 def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:

@@ -15,11 +15,15 @@ run is reproducible bit-for-bit and independent of how blocks would be
 distributed across workers.
 
 Mixtures of separable vectors are simulated by drawing the pre/post pair
-per trial from the mixture weights.  Note that conditioning on
-post-selection reweights components by their success rates; this agrees
-with the distinguish module's plain convex rule only when all components
-share one per-measurement success rate (as in the bundled symmetric
-demos).
+per trial from the mixture weights.  Post-selection then weights each
+component by its success rate, so for unit pairs v_c = |pre_c> (x) <post_c|
+the frequencies follow the success-weighted rule
+
+    Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2 ,
+
+which ``validate_mixture_abl`` predicts.  It matches the prior-weighted rule
+of ``distinguish.mixture_statistics`` only when all story-forming components
+share one success rate (as in the bundled symmetric demos).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .core import DEFAULT_TOL, StateVector, TwoStateVector
 from .errors import (
     DimensionMismatchError,
+    InsufficientTrialsError,
     NoSuccessesError,
     NotAStoryError,
     ShapeMismatchError,
@@ -38,6 +43,7 @@ from .errors import (
 from .measurement import (
     Measurement,
     OutcomeDistribution,
+    _story_amplitudes,
     abl_probabilities,
     forms_story,
 )
@@ -262,7 +268,7 @@ def _check_expected_successes(joint: np.ndarray, trials: int) -> None:
     low = (joint > 1e-12) & (expected < 100.0)
     if np.any(low):
         i = int(np.argmax(low))
-        raise ValueError(
+        raise InsufficientTrialsError(
             f"outcome {i} expects only {expected[i]:.1f} successes at "
             f"{trials} trials; need >= 100 for the sigma bound to be "
             "meaningful"
@@ -295,7 +301,8 @@ def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidat
     """Simulate and compare against the ABL probabilities of the story.
 
     Requires every predicted nonzero outcome to expect at least 100
-    successes at the configured trial count (ValueError otherwise).
+    successes at the configured trial count (InsufficientTrialsError, a
+    ValueError, otherwise).
     Passes iff every outcome frequency deviates by less than
     ``sigma_bound`` binomial standard errors.
     """
@@ -324,7 +331,6 @@ class MixtureExperiment:
         if not comps:
             raise ShapeMismatchError("mixture experiment needs components")
         total = 0.0
-        story = False
         for w, pre, post in comps:
             if w < 0.0:
                 raise ShapeMismatchError(f"negative weight {w!r}")
@@ -335,14 +341,12 @@ class MixtureExperiment:
                 )
             _check_unit(pre, "pre")
             _check_unit(post, "post")
-            story = story or forms_story(
-                TwoStateVector.separable(pre, post), self.measurement
-            )
         if abs(total - 1.0) > 1e-9:
             raise ShapeMismatchError(f"weights sum to {total!r}, not 1")
         if self.trials < 1:
             raise ShapeMismatchError(f"trials must be >= 1, got {self.trials}")
-        if not story:
+        if not any(forms_story(TwoStateVector.separable(pre, post),
+                               self.measurement) for _, pre, post in comps):
             raise NotAStoryError(
                 "no mixture component forms a story with the measurement"
             )
@@ -350,7 +354,8 @@ class MixtureExperiment:
 
 
 def simulate_mixture(mexp: MixtureExperiment) -> TrialLog:
-    """Simulate with the pre/post pair redrawn from the weights per trial."""
+    """Simulate with the pre/post pair redrawn from the weights per trial;
+    accepted trials follow the success-weighted rule (module docstring)."""
     k = mexp.measurement.num_outcomes
     weights = np.array([w for w, _, _ in mexp.components])
     cum_w = np.cumsum(weights / weights.sum())
@@ -374,24 +379,17 @@ def simulate_mixture(mexp: MixtureExperiment) -> TrialLog:
 
 def validate_mixture_abl(mexp: MixtureExperiment,
                          sigma_bound: float = 4.0) -> AblValidation:
-    """Simulate a mixture and compare against mixture_statistics.
-
-    Only meaningful when all story-forming components share one
-    post-selection success rate (see the module docstring); the bundled
-    symmetric demos satisfy this.
-    """
-    from .distinguish import Mixture, mixture_statistics
-
+    """Simulate a mixture and compare against the success-weighted rule
+    sum_c w_c |A_i(v_c)|^2 over the story-forming components, normalized
+    over outcomes i: exactly what ``simulate_mixture`` samples."""
     joint = np.zeros(mexp.measurement.num_outcomes)
     for w, pre, post in mexp.components:
-        p, q = _outcome_model(pre, post, mexp.measurement)
-        joint += w * p * q
+        amps, story = _story_amplitudes(TwoStateVector.separable(pre, post),
+                                        mexp.measurement)
+        if story:
+            joint += w * np.abs(amps) ** 2
     _check_expected_successes(joint, mexp.trials)
     log = simulate_mixture(mexp)
-    mix = Mixture(tuple(
-        (w, TwoStateVector.separable(pre, post))
-        for w, pre, post in mexp.components
-    ))
-    predicted = mixture_statistics(mix, mexp.measurement)
-    return _build_validation(log.outcome_counts, mexp.trials, predicted,
+    return _build_validation(log.outcome_counts, mexp.trials,
+                             OutcomeDistribution(joint / joint.sum()),
                              mexp.measurement.labels, sigma_bound)

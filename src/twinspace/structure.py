@@ -20,10 +20,11 @@ a linear subspace, the kernel of the linear map
 
 of dimension exactly dim^2 - k (the k functionals are linearly independent
 because the projectors are orthogonal and complete).  Its orthonormal basis
-is computed by a rank-revealing SVD.  The trace functional is the sum of
-the outcome functionals of any one measurement, so a vector with nonzero
-trace forms a story with *every* measurement, and a story-less vector is
-necessarily traceless.
+is computed by a rank-revealing SVD; membership needs no basis, being the
+negated story rule max_i |Tr P_i v| > tol * ||v||.  The trace functional is
+the sum of the outcome functionals of any one measurement, so a vector with
+nonzero trace forms a story with *every* measurement, and a story-less
+vector is necessarily traceless.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, StateVector, TwoStateVector
 from .errors import KernelDimensionError, NoWitnessError
-from .measurement import Measurement, Projector, outcome_amplitudes
+from .measurement import Measurement, Projector, forms_story, outcome_amplitudes
 
 
 class StoryCase(Enum):
@@ -140,15 +141,6 @@ class NullSubspace:
     measurement: Measurement
     basis: tuple[TwoStateVector, ...]
 
-    def __post_init__(self):
-        d = self.measurement.dim
-        if self.basis:
-            flat = np.stack([b.matrix.reshape(-1) for b in self.basis])
-        else:
-            flat = np.zeros((0, d * d), dtype=np.complex128)
-        flat.setflags(write=False)
-        object.__setattr__(self, "_flat_basis", flat)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -170,24 +162,24 @@ def null_subspace(m: Measurement) -> NullSubspace:
         raise KernelDimensionError(
             f"numerical kernel dimension {d * d - rank} != {d * d - k}"
         )
-    basis = tuple(
-        TwoStateVector(vh[i].conj().reshape(d, d)) for i in range(k, d * d)
-    )
+    # The basis vectors are read-only views of one conjugated block of vh,
+    # freed as a whole, not d^2 - k copies scattered on the heap; rows of a
+    # unitary are finite and nonzero, which is all the constructor checks.
+    null = vh[k:].reshape(-1, d, d)
+    np.conjugate(null, out=null)
+    null.setflags(write=False)
+    basis = tuple(object.__new__(TwoStateVector) for _ in null)
+    for b, mat in zip(basis, null):
+        object.__setattr__(b, "matrix", mat)
     return NullSubspace(m, basis)
 
 
 def membership_in_null(v: TwoStateVector, ns: NullSubspace,
                        tol: float = DEFAULT_TOL) -> bool:
-    """True iff v lies in the story-less subspace within tolerance.
-
-    Decided by the residual of v after orthogonal projection onto the
-    basis: ||v - proj(v)|| <= tol * ||v||.
-    """
+    """True iff v forms no story with ``ns.measurement``, i.e. iff
+    max_i |Tr(P_i matrix(v))| <= tol * ||v||; the basis is not used."""
     if v.dim != ns.measurement.dim:
         raise KernelDimensionError(
             f"vector dim {v.dim} != subspace dim {ns.measurement.dim}"
         )
-    flat = v.matrix.reshape(-1)
-    coeffs = ns._flat_basis.conj() @ flat
-    residual = float(np.linalg.norm(flat - ns._flat_basis.T @ coeffs))
-    return residual <= tol * v.hs_norm
+    return not forms_story(v, ns.measurement, tol)

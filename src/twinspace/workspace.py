@@ -53,7 +53,8 @@ class Workspace:
 
     # -- resolution ---------------------------------------------------------
 
-    def _lookup(self, table: dict, name: str, kind: str):
+    @staticmethod
+    def _lookup(table: dict, name: str, kind: str):
         try:
             return table[name]
         except KeyError:
@@ -120,24 +121,13 @@ class Workspace:
             raise WorkspaceError(
                 f"unknown workspace sections: {sorted(unknown)}"
             )
-        states, vectors, measurements, refs = {}, {}, {}, {}
-        for name, entry in obj.get("states", {}).items():
-            states[name] = _build(StateVector.from_json, entry, "state", name)
-        for name, entry in obj.get("vectors", {}).items():
-            vectors[name] = _build(TwoStateVector.from_json, entry,
-                                   "vector", name)
-        for name, entry in obj.get("measurements", {}).items():
-            measurements[name] = _build(Measurement.from_json, entry,
-                                        "measurement", name)
-        for name, entry in obj.get("mixtures", {}).items():
-            try:
-                refs[name] = tuple(
-                    (float(c["weight"]), str(c["vector"]))
-                    for c in entry["components"]
-                )
-            except (KeyError, TypeError) as err:
-                raise WorkspaceError(f"mixture '{name}': {err}") from err
-        return cls(states, vectors, measurements, refs)
+        tables: dict[str, dict] = {section: {} for section in _SECTIONS}
+        for section, name, value, err in _parse_entries(obj):
+            if err is not None:
+                raise WorkspaceError(
+                    f"{section[:-1]} '{name}': {err}") from err
+            tables[section][name] = value
+        return cls(*(tables[section] for section in _SECTIONS))
 
     @classmethod
     def loads(cls, text: str) -> "Workspace":
@@ -157,11 +147,33 @@ class Workspace:
         return cls.loads(text)
 
 
-def _build(factory, entry, kind, name):
-    try:
-        return factory(entry)
-    except (TwinspaceError, KeyError, TypeError, ValueError) as err:
-        raise WorkspaceError(f"{kind} '{name}': {err}") from err
+_PARSERS = {"states": StateVector.from_json,
+            "vectors": TwoStateVector.from_json,
+            "measurements": Measurement.from_json}
+
+
+def _parse_entries(obj: dict):
+    """Yield (section, name, value, error) per entry, names sorted; the one
+    parse path behind loading and validating.  Mixture values are their
+    (weight, vector name) refs, resolved against the vectors that parsed."""
+    vectors: dict[str, TwoStateVector] = {}
+    for section in _SECTIONS:
+        for name, entry in sorted(obj.get(section, {}).items()):
+            try:
+                if section == "mixtures":
+                    value = tuple((float(c["weight"]), str(c["vector"]))
+                                  for c in entry["components"])
+                    Mixture(tuple(
+                        (w, Workspace._lookup(vectors, ref, "vector"))
+                        for w, ref in value))
+                else:
+                    value = _PARSERS[section](entry)
+            except (TwinspaceError, KeyError, TypeError, ValueError) as err:
+                yield section, name, None, err
+                continue
+            if section == "vectors":
+                vectors[name] = value
+            yield section, name, value, None
 
 
 def validate_workspace_file(path) -> list[tuple[str, str, bool, str]]:
@@ -173,35 +185,12 @@ def validate_workspace_file(path) -> list[tuple[str, str, bool, str]]:
         return [("workspace", str(path), False, str(err))]
     if not isinstance(obj, dict):
         return [("workspace", str(path), False, "document must be an object")]
-    report = []
-    for section in sorted(set(obj) - set(_SECTIONS)):
-        report.append((section, "", False, "unknown section"))
-    factories = {
-        "states": StateVector.from_json,
-        "vectors": TwoStateVector.from_json,
-        "measurements": Measurement.from_json,
-    }
-    valid: dict[str, dict] = {section: {} for section in factories}
-    for section, factory in factories.items():
-        for name, entry in sorted(obj.get(section, {}).items()):
-            try:
-                valid[section][name] = factory(entry)
-                report.append((section, name, True, "ok"))
-            except (TwinspaceError, KeyError, TypeError, ValueError) as err:
-                report.append((section, name, False,
-                               f"{type(err).__name__}: {err}"))
-    # mixtures resolve against whatever vectors validated above, so one
-    # broken entry elsewhere does not obscure their own verdicts
-    resolver = Workspace(vectors=valid["vectors"])
-    for name, entry in sorted(obj.get("mixtures", {}).items()):
-        try:
-            Mixture(tuple(
-                (float(c["weight"]), resolver.vector(str(c["vector"])))
-                for c in entry["components"]
-            ))
-            report.append(("mixtures", name, True, "ok"))
-        except (TwinspaceError, KeyError, TypeError, ValueError) as err:
-            report.append(("mixtures", name, False, str(err)))
+    report = [(section, "", False, "unknown section")
+              for section in sorted(set(obj) - set(_SECTIONS))]
+    for section, name, _, err in _parse_entries(obj):
+        msg = ("ok" if err is None else str(err) if section == "mixtures"
+               else f"{type(err).__name__}: {err}")
+        report.append((section, name, err is None, msg))
     return report
 
 
@@ -209,9 +198,14 @@ def validate_workspace_file(path) -> list[tuple[str, str, bool, str]]:
 # Bundled inventory
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def builtin_workspace() -> Workspace:
-    """The read-only demo workspace bundled with the CLI."""
+    """A fresh shallow copy of the demo workspace bundled with the CLI."""
+    ws = _builtin_inventory()
+    return Workspace(ws.states, ws.vectors, ws.measurements, ws.mixture_refs)
+
+
+@lru_cache(maxsize=1)
+def _builtin_inventory() -> Workspace:
     s = 2.0 ** -0.5
     ket0 = StateVector.basis_state(2, 0)
     ket1 = StateVector.basis_state(2, 1)

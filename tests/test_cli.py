@@ -3,8 +3,10 @@
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from twinspace import TwoStateVector
 from twinspace.cli import main
 from twinspace.workspace import builtin_workspace
 
@@ -38,6 +40,31 @@ def test_abl_without_story_exits_2(capsys):
     code, _, err = run(["abl", "ket0_bra1", "computational"], capsys)
     assert code == 2
     assert "no story" in err
+
+
+def test_builtin_workspace_edits_do_not_leak(capsys):
+    builtin_workspace().vectors["ket0_bra1"] = TwoStateVector(np.eye(2))
+    code, _, err = run(["abl", "ket0_bra1", "computational"], capsys)
+    assert code == 2
+    assert "no story" in err
+
+
+def test_abl_and_story_agree_near_threshold(tmp_path, capsys):
+    """max |A_i| = 8e-11 < tol * ||v||, while the l2 norm of the amplitudes
+    exceeds it: no story, for both commands."""
+    ws = builtin_workspace()
+    ws.vectors["near"] = TwoStateVector(np.array([[8e-11, 1.0],
+                                                  [0.0, 8e-11]]))
+    path = tmp_path / "ws.json"
+    ws.dump(path)
+    code, _, err = run(["abl", "near", "computational",
+                        "--workspace", str(path)], capsys)
+    assert code == 2
+    assert "no story" in err
+    code, out, _ = run(["story", "near", "computational",
+                        "--workspace", str(path)], capsys)
+    assert code == 0
+    assert out == "forms story: false\n"
 
 
 def test_unknown_name_exits_1(capsys):

@@ -7,6 +7,7 @@ import pytest
 from twinspace import (
     BLOCK_SIZE,
     DimensionMismatchError,
+    InsufficientTrialsError,
     MixtureExperiment,
     NoSuccessesError,
     NotAStoryError,
@@ -14,6 +15,7 @@ from twinspace import (
     ShapeMismatchError,
     StateVector,
     TrialLog,
+    TwinspaceError,
     empirical_distribution,
     joint_probabilities,
     merge_logs,
@@ -193,6 +195,14 @@ def test_validate_abl_needs_enough_expected_successes():
         validate_abl(small)
 
 
+def test_insufficient_trials_is_a_twinspace_error():
+    small = PrePostExperiment(KET0, KET1, DIAGONAL, trials=200, seed=0)
+    with pytest.raises(InsufficientTrialsError) as exc:
+        validate_abl(small)
+    assert isinstance(exc.value, TwinspaceError)
+    assert isinstance(exc.value, ValueError)
+
+
 def test_validation_flags_biased_counts():
     from twinspace import abl_probabilities
 
@@ -256,3 +266,17 @@ def test_mixture_on_diagonal_measurement():
     assert report.passed
     for row in report.rows:
         assert row.predicted == pytest.approx(0.5, abs=1e-12)
+
+
+def test_mixture_prediction_weights_by_post_selection_success():
+    """plus->plus always passes post-selection and lands on '+'; ket0->ket1
+    passes a quarter of the time per outcome.  The success-weighted rule
+    predicts (0.625, 0.125) / 0.75 = (5/6, 1/6), not the prior-weighted
+    (3/4, 1/4)."""
+    mexp = MixtureExperiment(((0.5, PLUS, PLUS), (0.5, KET0, KET1)),
+                             DIAGONAL, 100_000, 0)
+    report = validate_mixture_abl(mexp)
+    assert [row.predicted for row in report.rows] == pytest.approx(
+        [5.0 / 6.0, 1.0 / 6.0], abs=1e-12)
+    assert report.sigma_bound == 4.0
+    assert report.passed

@@ -1,14 +1,20 @@
 """Story construction for arbitrary vectors; null subspaces of measurements."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinspace import (
+    MAX_DIM,
     KernelDimensionError,
+    NotAStoryError,
     StoryCase,
     TwoStateVector,
+    abl_probabilities,
+    builtin_workspace,
     find_story_measurement,
     forms_story,
     is_traceless,
@@ -156,6 +162,19 @@ def test_null_basis_is_orthonormal_and_storyless():
         assert membership_in_null(b, ns)
 
 
+def test_null_basis_vectors_are_frozen_matrices():
+    """The basis shares one block instead of copying per vector; each
+    vector must still hold a read-only C-contiguous complex matrix."""
+    ns = null_subspace(random_measurement(3, 2, 22))
+    for b in ns.basis:
+        assert b.matrix.dtype == np.complex128
+        assert b.matrix.shape == (3, 3)
+        assert b.matrix.flags.c_contiguous
+        assert not b.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            b.matrix[0, 0] = 1.0
+
+
 def test_null_membership_closed_under_combinations():
     m = random_measurement(3, 2, 33)
     ns = null_subspace(m)
@@ -212,3 +231,80 @@ def test_trace_is_sum_of_outcome_amplitudes():
         m = random_measurement(4, 1 + seed % 4, [88, seed])
         amps = outcome_amplitudes(v, m)
         assert np.sum(amps) == pytest.approx(trace_functional(v), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One story predicate: abl, forms_story and membership agree near tolerance
+# ---------------------------------------------------------------------------
+
+#: max |A_i| = 8e-11 sits below tol * ||v|| = 1e-10 while the l2 norm of the
+#: amplitudes (1.13e-10) sits above it.
+NEAR_THRESHOLD = np.array([[8e-11, 1.0], [0.0, 8e-11]])
+
+
+def near_threshold_vector(m, seed, eps):
+    """A unit null member of ``m`` plus ``eps`` times a unit generic vector.
+
+    The null member is a generic matrix minus its components along the
+    projectors, which are mutually orthogonal with Tr(P_i P_i) = rank P_i.
+    """
+    rng = np.random.default_rng(seed)
+    d = m.dim
+    g, h = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(2))
+    amps = outcome_amplitudes(TwoStateVector(h), m)
+    null = h - sum(a / p.rank * p.matrix for a, p in zip(amps, m.projectors))
+    if d > 1:
+        null /= np.linalg.norm(null)
+    else:
+        null = np.zeros((1, 1))
+    return TwoStateVector(null + eps * g / np.linalg.norm(g))
+
+
+def abl_raises(v, m):
+    try:
+        abl_probabilities(v, m)
+    except NotAStoryError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       k=st.integers(1, 6), log_eps=st.floats(-12.0, -8.0))
+def test_one_story_predicate_near_threshold(seed, dim, k, log_eps):
+    m = random_measurement(dim, min(k, dim), [97, seed])
+    v = near_threshold_vector(m, seed, 10.0 ** log_eps)
+    raised = abl_raises(v, m)
+    assert raised == (not forms_story(v, m))
+    assert raised == membership_in_null(v, null_subspace(m))
+
+
+@lru_cache(maxsize=None)
+def max_dim_measurement(k):
+    return random_measurement(MAX_DIM, k, [98, k])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, MAX_DIM]),
+       log_eps=st.floats(-12.0, -8.0))
+def test_one_story_predicate_near_threshold_max_dim(seed, k, log_eps):
+    m = max_dim_measurement(k)
+    v = near_threshold_vector(m, seed, 10.0 ** log_eps)
+    assert abl_raises(v, m) == (not forms_story(v, m))
+
+
+def test_near_threshold_example():
+    v = TwoStateVector(NEAR_THRESHOLD)
+    m = builtin_workspace().measurement("computational")
+    assert not forms_story(v, m)
+    assert abl_raises(v, m)
+    assert membership_in_null(v, null_subspace(m))
+
+
+def test_near_threshold_inputs_reach_both_verdicts():
+    """The epsilon range of the property tests straddles the threshold."""
+    m = random_measurement(4, 3, 5)
+    verdicts = {forms_story(near_threshold_vector(m, 0, eps), m)
+                for eps in (1e-12, 1e-8)}
+    assert verdicts == {True, False}

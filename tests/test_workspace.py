@@ -115,3 +115,44 @@ def test_validate_workspace_file_bad_json(tmp_path):
     rows = validate_workspace_file(path)
     assert len(rows) == 1
     assert rows[0][2] is False
+
+
+def test_dangling_reference_messages():
+    doc = {
+        "vectors": {"a": TwoStateVector(np.eye(2)).to_json()},
+        "mixtures": {"m": {"components": [
+            {"weight": 1.0, "vector": "missing"}
+        ]}},
+    }
+    with pytest.raises(WorkspaceError) as exc:
+        Workspace.from_json_dict(doc)
+    assert str(exc.value) == (
+        "mixture 'm': unknown vector 'missing'; workspace has: a")
+
+
+def test_load_and_validate_share_one_parse_path(tmp_path):
+    """Loading fails on the first row validation reports as failing, with
+    that row's cause, and the row order is the schema order."""
+    doc = builtin_workspace().to_json_dict()
+    doc["vectors"]["zero"] = {"dim": 1, "matrix": [[[0.0, 0.0]]]}
+    doc["measurements"]["incomplete"] = {
+        "dim": 2,
+        "projectors": [[[[1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0]]]],
+    }
+    doc["mixtures"]["uses_zero"] = {"components": [
+        {"weight": 1.0, "vector": "zero"}]}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    rows = validate_workspace_file(path)
+    failing = [(section, name) for section, name, ok, _ in rows if not ok]
+    assert failing == [("vectors", "zero"), ("measurements", "incomplete"),
+                       ("mixtures", "uses_zero")]
+    messages = {(section, name): msg for section, name, _, msg in rows}
+    assert messages[("vectors", "zero")].startswith("ZeroVectorError: ")
+    assert messages[("mixtures", "uses_zero")].startswith("unknown vector")
+    with pytest.raises(WorkspaceError) as exc:
+        Workspace.load(path)
+    assert str(exc.value) == (
+        "vector 'zero': "
+        + messages[("vectors", "zero")].removeprefix("ZeroVectorError: "))
