@@ -52,10 +52,13 @@ from .measurement import (
 #: Residual classification threshold for separable_feasibility.
 DEFAULT_FEAS_TOL = 1e-6
 
-#: Story-anchor amplitude floor (O(1), deliberately not tied to feas_tol:
-#: the floor sets the scale of the residual minimum of an infeasible
-#: system, which must sit far above the FEASIBLE band).
+#: Story-anchor amplitude floor (O(1), deliberately not tied to
+#: DEFAULT_FEAS_TOL: the floor sets the scale of the residual minimum of an
+#: infeasible system, which must sit far above the FEASIBLE band).
 DEFAULT_ANCHOR_FLOOR = 0.1
+
+#: Random (alpha, beta) pairs drawn per step of scan_separable_residual.
+_SCAN_BATCH = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +375,7 @@ class FeasibilityReport:
         return obj
 
 
-def _feasibility_objective(sys: ZeroConstraintSystem, anchor_floor: float):
+def _feasibility_objective(sys: ZeroConstraintSystem):
     """Scale-invariant objective over stacked real coordinates of (alpha, beta)."""
     cs = sys.constraint_matrices()
     anchor = sys.anchor_matrix()
@@ -390,35 +393,30 @@ def _feasibility_objective(sys: ZeroConstraintSystem, anchor_floor: float):
         amps = cs.reshape(-1, d * d) @ np.outer(alpha, beta).reshape(-1)
         residual = float(np.sum(np.abs(amps) ** 2))
         anchor_amp = abs(np.dot(alpha, anchor @ beta))
-        shortfall = max(0.0, anchor_floor - anchor_amp)
+        shortfall = max(0.0, DEFAULT_ANCHOR_FLOOR - anchor_amp)
         return residual + shortfall * shortfall
 
     return objective
 
 
-def separable_feasibility(
-    sys: ZeroConstraintSystem,
-    starts: int,
-    seed: int,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    anchor_floor: float = DEFAULT_ANCHOR_FLOOR,
-) -> FeasibilityReport:
+def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
+                          seed: int) -> FeasibilityReport:
     """Search for a separable vector satisfying a zero-constraint system.
 
     Minimizes sum_z |Tr(P_z Phi)|^2 over unit alpha, beta with a penalty
-    keeping the anchor amplitude at or above ``anchor_floor``, restarted
+    keeping the anchor amplitude at or above DEFAULT_ANCHOR_FLOOR, restarted
     from ``starts`` seeded random points (start s derives its generator
     from (seed, s), so results do not depend on evaluation order).
 
-    Verdict: FEASIBLE if the best residual is <= feas_tol^2 (the minimizer
-    is returned as witness), INFEASIBLE_EVIDENCE if it stays >=
-    1e3 * feas_tol^2 across all starts, INCONCLUSIVE between.
+    Verdict: FEASIBLE if the best residual is <= DEFAULT_FEAS_TOL^2 (the
+    minimizer is returned as witness), INFEASIBLE_EVIDENCE if it stays >=
+    1e3 * DEFAULT_FEAS_TOL^2 across all starts, INCONCLUSIVE between.
     """
     from scipy.optimize import minimize
 
     if starts < 1:
         raise ShapeMismatchError("starts must be >= 1")
-    objective = _feasibility_objective(sys, anchor_floor)
+    objective = _feasibility_objective(sys)
     d = sys.dim
     best_value = np.inf
     best_x = None
@@ -430,7 +428,7 @@ def separable_feasibility(
         value = float(res.fun)
         if value < best_value:
             best_value, best_x = value, res.x
-    if best_value <= feas_tol ** 2:
+    if best_value <= DEFAULT_FEAS_TOL ** 2:
         verdict = FeasibilityVerdict.FEASIBLE
         ar, ai, br, bi = np.split(best_x, 4)
         alpha = ar + 1j * ai
@@ -439,7 +437,7 @@ def separable_feasibility(
             StateVector.normalized(alpha),
             StateVector.normalized(beta),
         )
-    elif best_value >= 1e3 * feas_tol ** 2:
+    elif best_value >= 1e3 * DEFAULT_FEAS_TOL ** 2:
         verdict = FeasibilityVerdict.INFEASIBLE_EVIDENCE
         witness = None
     else:
@@ -449,7 +447,7 @@ def separable_feasibility(
 
 
 def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
-                            seed: int, batch: int = 1 << 16) -> float:
+                            seed: int) -> float:
     """Brute-force floor: minimum constraint residual over random points.
 
     Draws ``samples`` seeded random unit (alpha, beta) pairs and returns
@@ -465,7 +463,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     best = np.inf
     remaining = samples
     while remaining > 0:
-        n = min(batch, remaining)
+        n = min(_SCAN_BATCH, remaining)
         remaining -= n
         a = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         b = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -717,8 +715,6 @@ def certify_strict_nonseparability(
     starts: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    anchor_floor: float = DEFAULT_ANCHOR_FLOOR,
 ) -> CertificationReport:
     """Pipeline zero_constraints -> separable_feasibility for a target.
 
@@ -735,7 +731,7 @@ def certify_strict_nonseparability(
             "target is separable; strict non-separability cannot apply"
         )
     system = zero_constraints(target, measurements, tol)
-    feas = separable_feasibility(system, starts, seed, feas_tol, anchor_floor)
+    feas = separable_feasibility(system, starts, seed)
     verdict = {
         FeasibilityVerdict.INFEASIBLE_EVIDENCE:
             CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE,

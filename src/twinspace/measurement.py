@@ -48,6 +48,10 @@ from .errors import (
     ShapeMismatchError,
 )
 
+#: Relative eigenvalue gap that starts a new outcome in
+#: measurement_from_observable.
+_DEGENERACY_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class Projector:
@@ -186,6 +190,14 @@ def validate_measurement(projectors: Sequence, tol: float = DEFAULT_TOL,
     return Measurement(projs, tuple(labels) if labels is not None else None, tol)
 
 
+def _measurement_from_columns(blocks, labels=None,
+                              tol: float = DEFAULT_TOL) -> Measurement:
+    """Outcome i projects onto the span of the orthonormal columns of
+    ``blocks[i]``: P_i = cols cols^dagger."""
+    return Measurement(tuple(Projector(cols @ cols.conj().T, tol)
+                             for cols in blocks), labels, tol)
+
+
 def measurement_from_basis_grouping(
     basis: Sequence[StateVector],
     grouping: Sequence[Sequence[int]],
@@ -219,22 +231,16 @@ def measurement_from_basis_grouping(
         raise ShapeMismatchError(
             f"grouping {grouping!r} is not a partition of range({dim})"
         )
-    projs = []
-    for group in grouping:
-        cols = b[:, list(group)]
-        projs.append(Projector(cols @ cols.conj().T, tol))
-    return Measurement(tuple(projs),
-                       tuple(labels) if labels is not None else None, tol)
+    return _measurement_from_columns([b[:, list(g)] for g in grouping],
+                                     labels, tol)
 
 
-def measurement_from_observable(
-    matrix, degeneracy_tol: float = 1e-8, tol: float = DEFAULT_TOL
-) -> Measurement:
+def measurement_from_observable(matrix, tol: float = DEFAULT_TOL) -> Measurement:
     """Spectral measurement of a Hermitian observable.
 
     Eigenvalues are clustered greedily in ascending order: a new outcome
     starts whenever the gap to the previous eigenvalue exceeds
-    degeneracy_tol * (spectral range).  Outcome labels are the cluster
+    _DEGENERACY_TOL * (spectral range).  Outcome labels are the cluster
     mean eigenvalues.  A zero spectral range collapses everything to the
     single-outcome measurement {identity}.
     """
@@ -250,15 +256,12 @@ def measurement_from_observable(
         return Measurement.trivial(arr.shape[0])
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > degeneracy_tol * spread:
+        if vals[i] - vals[i - 1] > _DEGENERACY_TOL * spread:
             clusters.append([])
         clusters[-1].append(i)
-    projs, labels = [], []
-    for idxs in clusters:
-        cols = vecs[:, idxs]
-        projs.append(Projector(cols @ cols.conj().T, tol))
-        labels.append(repr(float(np.mean(vals[idxs]))))
-    return Measurement(tuple(projs), tuple(labels), tol)
+    return _measurement_from_columns(
+        [vecs[:, idxs] for idxs in clusters],
+        [repr(float(np.mean(vals[idxs]))) for idxs in clusters], tol)
 
 
 def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
@@ -358,8 +361,5 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
     cuts = np.sort(rng.choice(dim - 1, size=num_outcomes - 1, replace=False) + 1) \
         if num_outcomes > 1 else np.array([], dtype=int)
     bounds = [0, *cuts.tolist(), dim]
-    projs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        cols = q[:, order[a:b]]
-        projs.append(Projector(cols @ cols.conj().T))
-    return Measurement(tuple(projs))
+    return _measurement_from_columns(
+        [q[:, order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])])

@@ -4,26 +4,30 @@ A separable two-state vector |pre> (x) <post| has a direct laboratory
 reading: prepare ``pre``, perform the intermediate projective measurement,
 then post-select on ``post``.  Each simulated trial samples outcome i with
 probability <pre|P_i|pre>, collapses to P_i|pre>/||.||, and accepts the
-trial with probability |<post|collapsed>|^2.  Conditioned on acceptance,
-the outcome frequencies must converge to the ABL probabilities of the
-story (|pre> (x) <post|, measurement); ``validate_abl`` checks this with
-per-outcome binomial standard-error bounds.
+trial with probability |<post|collapsed>|^2.
+
+A mixture experiment draws its (pre, post) pair per trial from classical
+weights; a ``PrePostExperiment`` is the one-component mixture, and both
+run through one check, one sampler and one predictor.  Post-selection
+weights each component by its success rate, so for unit pairs
+v_c = |pre_c> (x) <post_c| the accepted outcome frequencies follow the
+success-weighted rule
+
+    Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2
+
+over the story-forming components, which for one pair is the ABL rule of
+the story (|pre> (x) <post|, measurement).  ``validate_abl`` and
+``validate_mixture_abl`` compare against it with per-outcome binomial
+standard-error bounds.  It matches the prior-weighted rule of
+``distinguish.mixture_statistics`` only when all story-forming components
+share one success rate (as in the bundled symmetric demos).
 
 Trials are processed in fixed-size blocks; block b draws its generator
-from the seed material (base seed, b).  Totals are sums over blocks, so a
-run is reproducible bit-for-bit and independent of how blocks would be
-distributed across workers.
-
-Mixtures of separable vectors are simulated by drawing the pre/post pair
-per trial from the mixture weights.  Post-selection then weights each
-component by its success rate, so for unit pairs v_c = |pre_c> (x) <post_c|
-the frequencies follow the success-weighted rule
-
-    Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2 ,
-
-which ``validate_mixture_abl`` predicts.  It matches the prior-weighted rule
-of ``distinguish.mixture_statistics`` only when all story-forming components
-share one success rate (as in the bundled symmetric demos).
+from the seed material (base seed, b) and takes from it, per block, the
+component stream (only when there are several components), then the
+outcome stream, then the acceptance stream.  Totals are sums over blocks,
+so a run is reproducible bit-for-bit and independent of how blocks would
+be distributed across workers.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector, TwoStateVector
+from .core import StateVector, TwoStateVector
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -44,7 +48,6 @@ from .measurement import (
     Measurement,
     OutcomeDistribution,
     _story_amplitudes,
-    abl_probabilities,
     forms_story,
 )
 
@@ -55,11 +58,37 @@ BLOCK_SIZE = 8192
 _NORM_TOL = 1e-9
 
 
-def _check_unit(state: StateVector, name: str) -> None:
-    if abs(state.norm - 1.0) > _NORM_TOL:
-        raise ShapeMismatchError(
-            f"{name} state must be normalized (norm = {state.norm!r})"
+def _check_experiment(components, measurement: Measurement,
+                      trials: int) -> tuple:
+    """The one experiment check; returns the components with float weights."""
+    comps = tuple((float(w), pre, post) for w, pre, post in components)
+    if not comps:
+        raise ShapeMismatchError("mixture experiment needs components")
+    total = 0.0
+    for w, pre, post in comps:
+        if w < 0.0:
+            raise ShapeMismatchError(f"negative weight {w!r}")
+        total += w
+        if pre.dim != measurement.dim or post.dim != measurement.dim:
+            raise DimensionMismatchError(
+                f"state dims ({pre.dim}, {post.dim}) != "
+                f"measurement dim {measurement.dim}"
+            )
+        for state, name in ((pre, "pre"), (post, "post")):
+            if abs(state.norm - 1.0) > _NORM_TOL:
+                raise ShapeMismatchError(
+                    f"{name} state must be normalized (norm = {state.norm!r})")
+    if abs(total - 1.0) > 1e-9:
+        raise ShapeMismatchError(f"weights sum to {total!r}, not 1")
+    if trials < 1:
+        raise ShapeMismatchError(f"trials must be >= 1, got {trials}")
+    if not any(forms_story(TwoStateVector.separable(pre, post), measurement)
+               for _, pre, post in comps):
+        raise NotAStoryError(
+            "|pre> (x) <post| forms no story with the measurement; "
+            "post-selection would never succeed"
         )
+    return comps
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,20 +108,12 @@ class PrePostExperiment:
     seed: int
 
     def __post_init__(self):
-        if self.pre.dim != self.measurement.dim or self.post.dim != self.measurement.dim:
-            raise DimensionMismatchError(
-                f"state dims ({self.pre.dim}, {self.post.dim}) != "
-                f"measurement dim {self.measurement.dim}"
-            )
-        _check_unit(self.pre, "pre")
-        _check_unit(self.post, "post")
-        if self.trials < 1:
-            raise ShapeMismatchError(f"trials must be >= 1, got {self.trials}")
-        if not forms_story(self.story_vector(), self.measurement):
-            raise NotAStoryError(
-                "|pre> (x) <post| forms no story with the measurement; "
-                "post-selection would never succeed"
-            )
+        _check_experiment(self.components, self.measurement, self.trials)
+
+    @property
+    def components(self) -> tuple[tuple[float, StateVector, StateVector], ...]:
+        """The experiment as a one-component mixture."""
+        return ((1.0, self.pre, self.post),)
 
     def story_vector(self) -> TwoStateVector:
         """The separable two-state vector |pre> (x) <post|."""
@@ -150,8 +171,13 @@ def _outcome_model(pre: StateVector, post: StateVector,
 
 def joint_probabilities(exp: PrePostExperiment) -> np.ndarray:
     """Per-outcome probability of (outcome AND successful post-selection)."""
-    p, q = _outcome_model(exp.pre, exp.post, exp.measurement)
-    return p * q
+    joint = np.zeros(exp.measurement.num_outcomes)
+    for w, pre, post in exp.components:
+        amps, story = _story_amplitudes(TwoStateVector.separable(pre, post),
+                                        exp.measurement)
+        if story:
+            joint += w * np.abs(amps) ** 2
+    return joint
 
 
 def success_probability(exp: PrePostExperiment) -> float:
@@ -160,17 +186,38 @@ def success_probability(exp: PrePostExperiment) -> float:
 
 
 def _simulate_blocks(seed: int, trials: int, draw_block) -> np.ndarray:
-    counts = None
-    offset = 0
-    block_index = 0
-    while offset < trials:
-        n = min(BLOCK_SIZE, trials - offset)
-        rng = np.random.default_rng([seed, block_index])
-        block_counts = draw_block(rng, n)
-        counts = block_counts if counts is None else counts + block_counts
-        offset += n
-        block_index += 1
+    counts = 0
+    for block, offset in enumerate(range(0, trials, BLOCK_SIZE)):
+        rng = np.random.default_rng([seed, block])
+        counts = counts + draw_block(rng, min(BLOCK_SIZE, trials - offset))
     return counts
+
+
+def _sample(exp: PrePostExperiment | MixtureExperiment) -> TrialLog:
+    k = exp.measurement.num_outcomes
+    weights = np.array([w for w, _, _ in exp.components])
+    cum_w = np.cumsum(weights / weights.sum())
+    models = [_outcome_model(pre, post, exp.measurement)
+              for _, pre, post in exp.components]
+    n_comp = len(models)
+    # Component c's cumulative outcome table, offset into [c, c + 1], so
+    # one search finds every trial's outcome.
+    cum = (np.arange(n_comp)[:, None]
+           + np.stack([np.cumsum(p) for p, _ in models])).ravel()
+    q = np.stack([qc for _, qc in models])
+
+    def draw_block(rng: np.random.Generator, n: int) -> np.ndarray:
+        comp = 0
+        if n_comp > 1:
+            comp = np.searchsorted(cum_w, rng.random(n), side="right")
+            comp = np.minimum(comp, n_comp - 1)
+        outcomes = np.searchsorted(cum, comp + rng.random(n), side="right")
+        outcomes = np.clip(outcomes - comp * k, 0, k - 1)
+        accepted = rng.random(n) < q[comp, outcomes]
+        return np.bincount(outcomes[accepted], minlength=k)
+
+    return TrialLog(_simulate_blocks(exp.seed, exp.trials, draw_block),
+                    exp.trials)
 
 
 def simulate(exp: PrePostExperiment) -> TrialLog:
@@ -179,18 +226,7 @@ def simulate(exp: PrePostExperiment) -> TrialLog:
     Deterministic in the experiment seed, and identical to merging
     per-block runs because block b always draws from (seed, b).
     """
-    p, q = _outcome_model(exp.pre, exp.post, exp.measurement)
-    cum = np.cumsum(p)
-    k = exp.measurement.num_outcomes
-
-    def draw_block(rng: np.random.Generator, n: int) -> np.ndarray:
-        outcomes = np.searchsorted(cum, rng.random(n), side="right")
-        outcomes = np.minimum(outcomes, k - 1)
-        accepted = rng.random(n) < q[outcomes]
-        return np.bincount(outcomes[accepted], minlength=k)
-
-    counts = _simulate_blocks(exp.seed, exp.trials, draw_block)
-    return TrialLog(counts, exp.trials)
+    return _sample(exp)
 
 
 def empirical_distribution(log: TrialLog) -> OutcomeDistribution:
@@ -292,9 +328,19 @@ def _build_validation(counts: np.ndarray, trials: int,
             dev = abs(freq - p_hat) / se
         rows.append(ValidationRow(
             i, labels[i] if labels else None, float(p_hat), float(freq),
-            dev, dev < sigma_bound,
+            dev, bool(dev < sigma_bound),
         ))
     return AblValidation(tuple(rows), trials, successes, sigma_bound)
+
+
+def _validate(exp: PrePostExperiment | MixtureExperiment,
+              sigma_bound: float) -> AblValidation:
+    joint = joint_probabilities(exp)
+    _check_expected_successes(joint, exp.trials)
+    log = _sample(exp)
+    return _build_validation(log.outcome_counts, exp.trials,
+                             OutcomeDistribution(joint / joint.sum()),
+                             exp.measurement.labels, sigma_bound)
 
 
 def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidation:
@@ -306,11 +352,7 @@ def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidat
     Passes iff every outcome frequency deviates by less than
     ``sigma_bound`` binomial standard errors.
     """
-    _check_expected_successes(joint_probabilities(exp), exp.trials)
-    log = simulate(exp)
-    predicted = abl_probabilities(exp.story_vector(), exp.measurement)
-    return _build_validation(log.outcome_counts, exp.trials, predicted,
-                             exp.measurement.labels, sigma_bound)
+    return _validate(exp, sigma_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -327,54 +369,14 @@ class MixtureExperiment:
     seed: int
 
     def __post_init__(self):
-        comps = tuple((float(w), pre, post) for w, pre, post in self.components)
-        if not comps:
-            raise ShapeMismatchError("mixture experiment needs components")
-        total = 0.0
-        for w, pre, post in comps:
-            if w < 0.0:
-                raise ShapeMismatchError(f"negative weight {w!r}")
-            total += w
-            if pre.dim != self.measurement.dim or post.dim != self.measurement.dim:
-                raise DimensionMismatchError(
-                    "component dims do not match the measurement"
-                )
-            _check_unit(pre, "pre")
-            _check_unit(post, "post")
-        if abs(total - 1.0) > 1e-9:
-            raise ShapeMismatchError(f"weights sum to {total!r}, not 1")
-        if self.trials < 1:
-            raise ShapeMismatchError(f"trials must be >= 1, got {self.trials}")
-        if not any(forms_story(TwoStateVector.separable(pre, post),
-                               self.measurement) for _, pre, post in comps):
-            raise NotAStoryError(
-                "no mixture component forms a story with the measurement"
-            )
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", _check_experiment(
+            self.components, self.measurement, self.trials))
 
 
 def simulate_mixture(mexp: MixtureExperiment) -> TrialLog:
     """Simulate with the pre/post pair redrawn from the weights per trial;
     accepted trials follow the success-weighted rule (module docstring)."""
-    k = mexp.measurement.num_outcomes
-    weights = np.array([w for w, _, _ in mexp.components])
-    cum_w = np.cumsum(weights / weights.sum())
-    models = [_outcome_model(pre, post, mexp.measurement)
-              for _, pre, post in mexp.components]
-    cum_p = np.stack([np.cumsum(p) for p, _ in models])
-    q = np.stack([qi for _, qi in models])
-    n_comp = len(mexp.components)
-
-    def draw_block(rng: np.random.Generator, n: int) -> np.ndarray:
-        comp = np.searchsorted(cum_w, rng.random(n), side="right")
-        comp = np.minimum(comp, n_comp - 1)
-        outcomes = np.sum(cum_p[comp] < rng.random(n)[:, None], axis=1)
-        outcomes = np.minimum(outcomes, k - 1)
-        accepted = rng.random(n) < q[comp, outcomes]
-        return np.bincount(outcomes[accepted], minlength=k)
-
-    counts = _simulate_blocks(mexp.seed, mexp.trials, draw_block)
-    return TrialLog(counts, mexp.trials)
+    return _sample(mexp)
 
 
 def validate_mixture_abl(mexp: MixtureExperiment,
@@ -382,14 +384,4 @@ def validate_mixture_abl(mexp: MixtureExperiment,
     """Simulate a mixture and compare against the success-weighted rule
     sum_c w_c |A_i(v_c)|^2 over the story-forming components, normalized
     over outcomes i: exactly what ``simulate_mixture`` samples."""
-    joint = np.zeros(mexp.measurement.num_outcomes)
-    for w, pre, post in mexp.components:
-        amps, story = _story_amplitudes(TwoStateVector.separable(pre, post),
-                                        mexp.measurement)
-        if story:
-            joint += w * np.abs(amps) ** 2
-    _check_expected_successes(joint, mexp.trials)
-    log = simulate_mixture(mexp)
-    return _build_validation(log.outcome_counts, mexp.trials,
-                             OutcomeDistribution(joint / joint.sum()),
-                             mexp.measurement.labels, sigma_bound)
+    return _validate(mexp, sigma_bound)

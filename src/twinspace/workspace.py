@@ -124,8 +124,8 @@ class Workspace:
         tables: dict[str, dict] = {section: {} for section in _SECTIONS}
         for section, name, value, err in _parse_entries(obj):
             if err is not None:
-                raise WorkspaceError(
-                    f"{section[:-1]} '{name}': {err}") from err
+                where = f"{section[:-1]} '{name}'" if name else section
+                raise WorkspaceError(f"{where}: {err}") from err
             tables[section][name] = value
         return cls(*(tables[section] for section in _SECTIONS))
 
@@ -158,7 +158,11 @@ def _parse_entries(obj: dict):
     (weight, vector name) refs, resolved against the vectors that parsed."""
     vectors: dict[str, TwoStateVector] = {}
     for section in _SECTIONS:
-        for name, entry in sorted(obj.get(section, {}).items()):
+        table = obj.get(section, {})
+        if not isinstance(table, dict):
+            yield section, "", None, WorkspaceError("must be a JSON object")
+            continue
+        for name, entry in sorted(table.items()):
             try:
                 if section == "mixtures":
                     value = tuple((float(c["weight"]), str(c["vector"]))

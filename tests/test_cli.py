@@ -1,5 +1,6 @@
 """Command line contract: outputs, exit codes, JSON determinism."""
 
+import json
 import shutil
 import subprocess
 
@@ -171,6 +172,15 @@ def test_montecarlo_insufficient_trials_exits_1(capsys):
     assert "100" in err
 
 
+def test_montecarlo_json_booleans(capsys):
+    code, out, _ = run(["montecarlo", "ket0", "ket1", "diagonal",
+                        "--trials", "200000", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert type(report["passed"]) is bool
+    assert all(type(row["ok"]) is bool for row in report["rows"])
+
+
 def test_validate_builtin(capsys):
     code, out, _ = run(["validate"], capsys)
     assert code == 0
@@ -185,6 +195,18 @@ def test_validate_broken_file(tmp_path, capsys):
     code, out, _ = run(["validate", "--workspace", str(path)], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["abl", "x", "y"]])
+def test_workspace_section_not_an_object_exits_1(tmp_path, capsys, argv):
+    path = tmp_path / "ws.json"
+    path.write_text('{"states": []}')
+    code, out, err = run(argv + ["--workspace", str(path)], capsys)
+    assert code == 1
+    if argv == ["validate"]:
+        assert "states/: FAIL" in out
+    else:
+        assert "error: states: must be a JSON object" in err
 
 
 # ---------------------------------------------------------------------------

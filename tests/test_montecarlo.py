@@ -1,6 +1,8 @@
 """Born-rule simulation of pre/post-selected experiments against the ABL
 prediction, including block-seeded reproducibility and mixtures."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,36 @@ def test_block_accumulation_matches_manual_shards():
     np.testing.assert_array_equal(full, total)
 
 
+def test_mixture_block_accumulation_matches_manual_shards():
+    """The mixture contract: block b draws from (seed, b), the component
+    stream first, then the outcome stream, then acceptance."""
+    trials = 2 * BLOCK_SIZE + 137
+    comps = ((0.25, PLUS, PLUS), (0.75, KET0, KET1))
+    full = simulate_mixture(
+        MixtureExperiment(comps, DIAGONAL, trials, seed=7)).outcome_counts
+
+    models = [_outcome_model(pre, post, DIAGONAL) for _, pre, post in comps]
+    cum_w = np.cumsum([w for w, _, _ in comps])
+    total = np.zeros(2, dtype=np.int64)
+    offset, block = 0, 0
+    while offset < trials:
+        n = min(BLOCK_SIZE, trials - offset)
+        rng = np.random.default_rng([7, block])
+        comp = np.minimum(np.searchsorted(cum_w, rng.random(n), side="right"), 1)
+        u = rng.random(n)
+        outcomes = np.empty(n, dtype=np.int64)
+        for c, (p, _) in enumerate(models):
+            outcomes[comp == c] = np.searchsorted(np.cumsum(p), u[comp == c],
+                                                  side="right")
+        outcomes = np.minimum(outcomes, 1)
+        q = np.stack([qc for _, qc in models])[comp, outcomes]
+        accepted = rng.random(n) < q
+        total += np.bincount(outcomes[accepted], minlength=2)
+        offset += n
+        block += 1
+    np.testing.assert_array_equal(full, total)
+
+
 def test_merge_logs_adds():
     a = TrialLog(np.array([3, 4]), trials=10)
     b = TrialLog(np.array([1, 0]), trials=5)
@@ -230,6 +262,25 @@ def classical_experiment(trials=60_000, seed=11):
         ((0.5, KET0, KET0), (0.5, KET1, KET1)),
         COMPUTATIONAL, trials, seed,
     )
+
+
+@pytest.mark.parametrize("pre, post, m, trials, seed", [
+    (KET0, KET1, DIAGONAL, 100_000, 42),
+    (PLUS, KET0, COMPUTATIONAL, 30_000, 5),
+    (WS.state("qutrit_plus"), WS.state("qutrit_plus_i"),
+     WS.measurement("qutrit_family_3"), 50_000, 9),
+], ids=["golden", "zero_outcome", "qutrit"])
+def test_one_component_mixture_is_the_pre_post_experiment(pre, post, m,
+                                                           trials, seed):
+    """A pre/post experiment is the one-component mixture: same seed, same
+    counts and the same validation rows."""
+    exp = PrePostExperiment(pre, post, m, trials, seed)
+    mexp = MixtureExperiment(((1.0, pre, post),), m, trials, seed)
+    np.testing.assert_array_equal(simulate(exp).outcome_counts,
+                                  simulate_mixture(mexp).outcome_counts)
+    a, b = validate_abl(exp), validate_mixture_abl(mexp)
+    assert [astuple(row) for row in a.rows] == [astuple(row) for row in b.rows]
+    assert (a.trials, a.successes, a.passed) == (b.trials, b.successes, b.passed)
 
 
 def test_mixture_experiment_validation():

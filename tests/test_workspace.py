@@ -65,6 +65,15 @@ def test_rejects_unknown_sections():
         Workspace.loads('{"spam": {}}')
 
 
+def test_section_not_an_object(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text('{"states": []}')
+    assert validate_workspace_file(path) == [
+        ("states", "", False, "WorkspaceError: must be a JSON object")]
+    with pytest.raises(WorkspaceError, match="states: must be a JSON object"):
+        Workspace.load(path)
+
+
 def test_rejects_invalid_json():
     with pytest.raises(WorkspaceError):
         Workspace.loads("{not json")
