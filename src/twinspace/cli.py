@@ -3,9 +3,9 @@
 Commands: abl, story, find-story, nullspace, distinguish, feasibility,
 reproduce, montecarlo, validate.  Objects are resolved by name from a
 workspace JSON file (``--workspace``), defaulting to the bundled demo
-inventory.  Human-readable tables go to stdout; ``--json`` switches to a
-canonical JSON report (sorted keys), byte-identical across repeated runs
-with the same inputs.
+inventory, which reproduce always uses.  Human-readable tables go to
+stdout; ``--json`` switches to a canonical JSON report (sorted keys),
+byte-identical across repeated runs with the same inputs.
 
 Exit codes: 0 success/PASS, 1 input or resolution error, 2 no story,
 3 check failure.
@@ -68,12 +68,6 @@ def _labels(measurement) -> list[str]:
     return [str(i) for i in range(measurement.num_outcomes)]
 
 
-def _print_distribution(dist, measurement) -> None:
-    print(f"{'outcome':<10}{'probability':>16}")
-    for name, p in zip(_labels(measurement), dist):
-        print(f"{name:<10}{p:>16.12f}")
-
-
 def cmd_abl(args) -> int:
     ws = _load_workspace(args)
     v = ws.vector(args.vector)
@@ -88,7 +82,9 @@ def cmd_abl(args) -> int:
             "probabilities": dist.to_json(),
         })
     else:
-        _print_distribution(dist, m)
+        print(f"{'outcome':<10}{'probability':>16}")
+        for name, p in zip(_labels(m), dist):
+            print(f"{name:<10}{p:>16.12f}")
     return EXIT_OK
 
 
@@ -355,68 +351,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str):
+    seed = ("--seed", {"type": int, "default": 0,
+                       "help": "base seed for all randomized steps"})
+    tol = ("--tol", {"type": float, "default": DEFAULT_TOL,
+                     "help": "relative numerical tolerance"})
+
+    def add_command(name: str, help_text: str, handler, *flags,
+                    workspace=True):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--workspace", metavar="PATH", default=None,
-                        help="workspace JSON file (default: bundled demo)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="base seed for all randomized steps")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="relative numerical tolerance")
+        if workspace:
+            sp.add_argument("--workspace", metavar="PATH", default=None,
+                            help="workspace JSON file (default: bundled demo)")
+        for flag, spec in flags:
+            sp.add_argument(flag, **spec)
         sp.add_argument("--json", action="store_true",
                         help="emit a canonical JSON report")
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = add_command("abl", "conditional outcome probabilities of a story")
+    sp = add_command("abl", "conditional outcome probabilities of a story",
+                     cmd_abl, tol)
     sp.add_argument("vector")
     sp.add_argument("measurement")
-    sp.set_defaults(handler=cmd_abl)
 
-    sp = add_command("story", "does the pair form a story?")
+    sp = add_command("story", "does the pair form a story?", cmd_story, tol)
     sp.add_argument("vector")
     sp.add_argument("measurement")
-    sp.set_defaults(handler=cmd_story)
 
-    sp = add_command("find-story", "construct a story measurement")
+    sp = add_command("find-story", "construct a story measurement",
+                     cmd_find_story, tol)
     sp.add_argument("vector")
-    sp.set_defaults(handler=cmd_find_story)
 
-    sp = add_command("nullspace", "story-less subspace of a measurement")
+    sp = add_command("nullspace", "story-less subspace of a measurement",
+                     cmd_nullspace)
     sp.add_argument("measurement")
-    sp.set_defaults(handler=cmd_nullspace)
 
     sp = add_command("distinguish",
-                     "search for a measurement separating two mixtures")
+                     "search for a measurement separating two mixtures",
+                     cmd_distinguish, seed, tol)
     sp.add_argument("mixture_a", help="mixture or vector name")
     sp.add_argument("mixture_b", help="mixture or vector name")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--outcomes", type=int, default=2,
                     help="outcomes per sampled measurement")
-    sp.set_defaults(handler=cmd_distinguish)
 
     sp = add_command("feasibility",
-                     "certify strict non-separability over a family")
+                     "certify strict non-separability over a family",
+                     cmd_feasibility, seed, tol)
     sp.add_argument("vector")
     sp.add_argument("measurements", nargs="+",
                     help="measurement names forming the family")
     sp.add_argument("--starts", type=int, default=64)
-    sp.set_defaults(handler=cmd_feasibility)
 
-    sp = add_command("reproduce", "run one bundled demonstration")
+    sp = add_command("reproduce", "run one bundled demonstration",
+                     cmd_reproduce, seed, tol, workspace=False)
     sp.add_argument("example", type=int, choices=(1, 2, 3))
-    sp.set_defaults(handler=cmd_reproduce)
 
     sp = add_command("montecarlo",
-                     "simulate an experiment and validate the ABL rule")
+                     "simulate an experiment and validate the ABL rule",
+                     cmd_montecarlo, seed)
     sp.add_argument("pre", help="state name")
     sp.add_argument("post", help="state name")
     sp.add_argument("measurement")
     sp.add_argument("--trials", type=int, default=100000)
     sp.add_argument("--sigma-bound", type=float, default=4.0)
-    sp.set_defaults(handler=cmd_montecarlo)
 
-    sp = add_command("validate", "validate a workspace file")
-    sp.set_defaults(handler=cmd_validate)
+    add_command("validate", "validate a workspace file", cmd_validate)
 
     return parser
 

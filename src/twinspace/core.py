@@ -214,18 +214,14 @@ class TwoStateVector:
         return f"TwoStateVector(dim={self.dim})"
 
 
-def _same_dim(a: TwoStateVector, b: TwoStateVector) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} != {b.dim}")
-
-
 def hs_inner(a: TwoStateVector, b: TwoStateVector) -> complex:
     """Hilbert-Schmidt inner product <<a|b>> = Tr(matrix(a)^dagger matrix(b)).
 
     Conjugate-linear in ``a``, linear in ``b``.  On separable elements it
     factorizes into <psi|psi'> <phi'|phi>.
     """
-    _same_dim(a, b)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimensions differ: {a.dim} != {b.dim}")
     return complex(np.vdot(a.matrix, b.matrix))
 
 

@@ -44,6 +44,7 @@ from .measurement import (
     Measurement,
     OutcomeDistribution,
     _abl_distribution,
+    _check_weights,
     _story_amplitudes,
     abl_probabilities,
     random_measurement,
@@ -66,27 +67,21 @@ class Mixture:
     """A classical ensemble of two-state vectors.
 
     ``components`` is a nonempty tuple of (weight, vector); weights are
-    nonnegative and sum to one within 1e-9, all vectors share one dim.
+    finite, nonnegative and sum to one within 1e-9, all vectors share one
+    dim.
     """
 
     components: tuple[tuple[float, TwoStateVector], ...]
 
     def __post_init__(self):
         comps = tuple((float(w), v) for w, v in self.components)
-        if not comps:
-            raise ShapeMismatchError("mixture needs at least one component")
+        _check_weights(comps)
         dim = comps[0][1].dim
-        total = 0.0
-        for w, v in comps:
-            if w < 0.0:
-                raise ShapeMismatchError(f"negative mixture weight {w!r}")
+        for _, v in comps:
             if v.dim != dim:
                 raise DimensionMismatchError(
                     f"component dims differ: {v.dim} != {dim}"
                 )
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            raise ShapeMismatchError(f"mixture weights sum to {total!r}, not 1")
         object.__setattr__(self, "components", comps)
 
     @property

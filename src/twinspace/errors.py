@@ -3,7 +3,7 @@
 Every error raised by the library derives from :class:`TwinspaceError`, so
 callers (in particular the CLI) can distinguish library failures from
 programming errors.  Measurement validation errors carry the index of the
-first offending projector (or pair of projectors).
+first offending projector (a rank-0 one included) or pair of projectors.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class NoWitnessError(TwinspaceError):
 
 
 class KernelDimensionError(TwinspaceError):
-    """The numerically detected kernel dimension disagrees with the exact
-    dimension formula dim^2 - k."""
+    """A vector and a null subspace live in spaces of different dimension;
+    raised only by ``membership_in_null``."""
 
 
 class NoStoryInMixtureError(TwinspaceError):

@@ -24,6 +24,7 @@ All predicates are scale-invariant in v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ from .core import (
 )
 from .errors import (
     DimensionMismatchError,
+    MeasurementValidationError,
     NotAStoryError,
     NotCompleteError,
     NotHermitianError,
@@ -93,11 +95,12 @@ class Projector:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """An ordered complete family of mutually orthogonal projectors.
+    """An ordered complete family of nonzero, mutually orthogonal projectors.
 
-    Construction validates every projector, pairwise orthogonality
-    (naming the first failing pair) and completeness sum_i P_i = 1.
-    ``labels``, when given, are outcome names of the same length.
+    Construction refuses a rank-0 outcome by index (which pins the
+    story-less subspace at dimension dim^2 - k), then checks pairwise
+    orthogonality (naming the first failing pair) and completeness
+    sum_i P_i = 1.  ``labels``, when given, name the outcomes.
     """
 
     projectors: tuple[Projector, ...]
@@ -114,6 +117,9 @@ class Measurement:
                 raise DimensionMismatchError(
                     f"projector {i} has dim {p.dim}, expected {dim}"
                 )
+            if p.rank < 1:
+                raise MeasurementValidationError(
+                    f"projector {i} is the zero projector (rank 0)", index=i)
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
                 err = float(np.max(np.abs(projs[i].matrix @ projs[j].matrix)))
@@ -162,11 +168,8 @@ class Measurement:
 
     @classmethod
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "Measurement":
-        projs = tuple(
-            Projector(matrix_from_json(rows), tol) for rows in obj["projectors"]
-        )
-        labels = tuple(obj["labels"]) if "labels" in obj else None
-        m = cls(projs, labels, tol)
+        m = validate_measurement(map(matrix_from_json, obj["projectors"]), tol,
+                                 obj["labels"] if "labels" in obj else None)
         if m.dim != obj["dim"]:
             raise ShapeMismatchError(
                 f"declared dim {obj['dim']} != projector dim {m.dim}"
@@ -181,13 +184,17 @@ def validate_measurement(projectors: Sequence, tol: float = DEFAULT_TOL,
                          labels: Sequence[str] | None = None) -> Measurement:
     """Validate raw projector matrices into a :class:`Measurement`.
 
-    Raises NotHermitian / NotIdempotent / NotOrthogonal / NotComplete on
-    the first violated invariant; never repairs the input.
+    Raises the first violated invariant's MeasurementValidationError, with
+    the ``index`` (or ``pair``) of the culprit; never repairs the input.
     """
-    projs = tuple(
-        p if isinstance(p, Projector) else Projector(p, tol) for p in projectors
-    )
-    return Measurement(projs, tuple(labels) if labels is not None else None, tol)
+    projs = []
+    for i, p in enumerate(projectors):
+        try:
+            projs.append(p if isinstance(p, Projector) else Projector(p, tol))
+        except MeasurementValidationError as err:
+            err.index = i
+            raise
+    return Measurement(projs, labels, tol)
 
 
 def _measurement_from_columns(blocks, labels=None,
@@ -222,12 +229,8 @@ def measurement_from_basis_grouping(
             f"(|<b_{i}|b_{j}> - delta| = {err[i, j]:.3e})",
             pair=(int(i), int(j)),
         )
-    seen: list[int] = []
-    for g, group in enumerate(grouping):
-        if len(group) == 0:
-            raise ShapeMismatchError(f"group {g} is empty")
-        seen.extend(int(i) for i in group)
-    if sorted(seen) != list(range(dim)):
+    # An empty group is the rank-0 outcome that Measurement refuses.
+    if sorted(int(i) for group in grouping for i in group) != list(range(dim)):
         raise ShapeMismatchError(
             f"grouping {grouping!r} is not a partition of range({dim})"
         )
@@ -270,7 +273,12 @@ def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
         raise DimensionMismatchError(
             f"vector dim {v.dim} != measurement dim {m.dim}"
         )
-    return np.einsum("kij,ji->k", m._stacked, v.matrix)
+    return _amplitudes(m._stacked, v.matrix)
+
+
+def _amplitudes(stacked: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Tr(P_i M) for each P_i of a (k, d, d) stack: the one amplitude sum."""
+    return np.einsum("kij,ji->k", stacked, matrix)
 
 
 def _story_amplitudes(v: TwoStateVector, m: Measurement,
@@ -293,6 +301,20 @@ def forms_story(v: TwoStateVector, m: Measurement,
     return _story_amplitudes(v, m, tol)[1]
 
 
+def _check_weights(components) -> None:
+    """The one mixture-weights rule on (weight, ...) components: at least
+    one, each weight in [0, inf) (so not NaN), the total one within 1e-9."""
+    if not components:
+        raise ShapeMismatchError("mixture needs at least one component")
+    total = 0.0
+    for w, *_ in components:
+        if not 0.0 <= w < math.inf:
+            raise ShapeMismatchError(f"mixture weight {w!r} not in [0, inf)")
+        total += w
+    if abs(total - 1.0) > 1e-9:
+        raise ShapeMismatchError(f"mixture weights sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Conditional outcome probabilities of one story (sum to one)."""
@@ -303,12 +325,13 @@ class OutcomeDistribution:
         arr = _frozen_real(np.asarray(self.probabilities, dtype=np.float64))
         if arr.ndim != 1:
             raise ShapeMismatchError("distribution must be one-dimensional")
+        total = float(np.sum(arr))
+        if not math.isfinite(total):  # as any NaN or infinite entry makes it
+            raise ShapeMismatchError("probabilities must be finite")
         if float(np.min(arr)) < -1e-12:
             raise ShapeMismatchError("negative probability")
-        if abs(float(np.sum(arr)) - 1.0) > 1e-9:
-            raise ShapeMismatchError(
-                f"probabilities sum to {float(np.sum(arr))!r}, not 1"
-            )
+        if abs(total - 1.0) > 1e-9:
+            raise ShapeMismatchError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", arr)
 
     def __len__(self):

@@ -47,6 +47,7 @@ from .errors import (
 from .measurement import (
     Measurement,
     OutcomeDistribution,
+    _check_weights,
     _story_amplitudes,
     forms_story,
 )
@@ -62,13 +63,8 @@ def _check_experiment(components, measurement: Measurement,
                       trials: int) -> tuple:
     """The one experiment check; returns the components with float weights."""
     comps = tuple((float(w), pre, post) for w, pre, post in components)
-    if not comps:
-        raise ShapeMismatchError("mixture experiment needs components")
-    total = 0.0
-    for w, pre, post in comps:
-        if w < 0.0:
-            raise ShapeMismatchError(f"negative weight {w!r}")
-        total += w
+    _check_weights(comps)
+    for _, pre, post in comps:
         if pre.dim != measurement.dim or post.dim != measurement.dim:
             raise DimensionMismatchError(
                 f"state dims ({pre.dim}, {post.dim}) != "
@@ -78,8 +74,6 @@ def _check_experiment(components, measurement: Measurement,
             if abs(state.norm - 1.0) > _NORM_TOL:
                 raise ShapeMismatchError(
                     f"{name} state must be normalized (norm = {state.norm!r})")
-    if abs(total - 1.0) > 1e-9:
-        raise ShapeMismatchError(f"weights sum to {total!r}, not 1")
     if trials < 1:
         raise ShapeMismatchError(f"trials must be >= 1, got {trials}")
     if not any(forms_story(TwoStateVector.separable(pre, post), measurement)

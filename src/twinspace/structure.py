@@ -18,25 +18,27 @@ a linear subspace, the kernel of the linear map
 
     v  ->  (Tr P_1 v, ..., Tr P_k v),
 
-of dimension exactly dim^2 - k (the k functionals are linearly independent
-because the projectors are orthogonal and complete).  Its orthonormal basis
-is computed by a rank-revealing SVD; membership needs no basis, being the
-negated story rule max_i |Tr P_i v| > tol * ||v||.  The trace functional is
-the sum of the outcome functionals of any one measurement, so a vector with
-nonzero trace forms a story with *every* measurement, and a story-less
-vector is necessarily traceless.
+of dimension exactly dim^2 - k: the k functionals are orthogonal with
+squared norms rank(P_i) >= 1, as a Measurement has no zero outcome.  The
+dimension and membership (the negated story rule) need no basis, which an
+SVD computes: in ``null_subspace``, or on first use of a bare
+``NullSubspace``.  The trace functional is the sum of the outcome
+functionals of any one measurement, so a vector with nonzero trace forms a
+story with *every* measurement, and a story-less vector is necessarily
+traceless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .core import DEFAULT_TOL, StateVector, TwoStateVector
 from .errors import KernelDimensionError, NoWitnessError
-from .measurement import Measurement, Projector, forms_story, outcome_amplitudes
+from .measurement import Measurement, Projector, _amplitudes, forms_story
 
 
 class StoryCase(Enum):
@@ -51,16 +53,22 @@ class StoryCase(Enum):
 class StoryCertificate:
     """A verified story for one two-state vector.
 
-    ``measurement`` is {|w><w|, 1 - |w><w|} for the witness state w (the
-    complement is dropped when it would be the zero projector), and
-    ``amplitude_magnitude`` equals |Tr(|w><w| matrix(v))| at construction
-    time.
+    ``amplitude_magnitude`` equals |Tr(|w><w| matrix(v))| for the witness
+    state w.  ``measurement`` is {|w><w|, 1 - |w><w|} (the complement is
+    dropped when it would be the zero projector, i.e. at dim 1), built
+    from the witness on first use.
     """
 
     case: StoryCase
     witness: StateVector
-    measurement: Measurement
     amplitude_magnitude: float
+
+    @cached_property
+    def measurement(self) -> Measurement:
+        p = Projector.onto_state(self.witness)
+        if self.witness.dim == 1:
+            return Measurement((p,))
+        return Measurement((p, Projector(np.eye(self.witness.dim) - p.matrix)))
 
     def to_json(self) -> dict:
         return {
@@ -69,13 +77,6 @@ class StoryCertificate:
             "measurement": self.measurement.to_json(),
             "amplitude_magnitude": self.amplitude_magnitude,
         }
-
-
-def _witness_measurement(witness: StateVector) -> Measurement:
-    p = Projector.onto_state(witness)
-    if witness.dim == 1:
-        return Measurement((p,))
-    return Measurement((p, Projector(np.eye(witness.dim) - p.matrix)))
 
 
 def find_story_measurement(v: TwoStateVector,
@@ -88,41 +89,35 @@ def find_story_measurement(v: TwoStateVector,
     requires numerically degenerate input near the case boundaries.
     """
     m_mat = v.matrix
-    d = v.dim
     floor = tol * v.hs_norm
 
     diag = np.abs(np.diag(m_mat))
     n = int(np.argmax(diag))
     if diag[n] > floor:
         case = StoryCase.DIAGONAL
-        witness = StateVector.basis_state(d, n)
-    elif float(np.linalg.norm(m_mat + m_mat.T)) <= tol * v.hs_norm:
-        case = StoryCase.ANTISYMMETRIC
-        off = np.abs(m_mat)
+        witness = StateVector.basis_state(v.dim, n)
+    else:
+        antisym = float(np.linalg.norm(m_mat + m_mat.T)) <= floor
+        case = (StoryCase.ANTISYMMETRIC if antisym
+                else StoryCase.SYMMETRIC_OFFDIAG)
+        off = np.abs(m_mat if antisym else m_mat + m_mat.T)
         np.fill_diagonal(off, 0.0)
         r, c = np.unravel_index(int(np.argmax(off)), off.shape)
-        amps = np.zeros(d, dtype=np.complex128)
+        amps = np.zeros(v.dim, dtype=np.complex128)
         amps[r] = 1.0 / np.sqrt(2.0)
-        amps[c] = 1j / np.sqrt(2.0)
-        witness = StateVector(amps)
-    else:
-        case = StoryCase.SYMMETRIC_OFFDIAG
-        sym = np.abs(m_mat + m_mat.T)
-        np.fill_diagonal(sym, 0.0)
-        r, c = np.unravel_index(int(np.argmax(sym)), sym.shape)
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[r] = 1.0 / np.sqrt(2.0)
-        amps[c] = 1.0 / np.sqrt(2.0)
+        amps[c] = (1j if antisym else 1.0) / np.sqrt(2.0)
         witness = StateVector(amps)
 
-    measurement = _witness_measurement(witness)
-    amplitude = float(np.abs(outcome_amplitudes(v, measurement)[0]))
+    # Tr(|w><w| M) on the witness projector alone, no measurement built.
+    a = witness.amplitudes / witness.norm
+    amplitude = float(np.abs(_amplitudes(np.outer(a, a.conj())[np.newaxis],
+                                         m_mat)[0]))
     if amplitude <= floor:
         raise NoWitnessError(
             f"branch {case.value} produced amplitude {amplitude:.3e} "
             f"<= {floor:.3e}; input is numerically degenerate"
         )
-    return StoryCertificate(case, witness, measurement, amplitude)
+    return StoryCertificate(case, witness, amplitude)
 
 
 def is_traceless(v: TwoStateVector, tol: float = DEFAULT_TOL) -> bool:
@@ -132,46 +127,41 @@ def is_traceless(v: TwoStateVector, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class NullSubspace:
-    """Orthonormal basis of the story-less vectors of one measurement.
-
-    The basis spans the kernel of v -> (Tr P_1 v, ..., Tr P_k v); its
-    dimension is dim^2 - k.  Empty exactly for dim == 1.
+    """The story-less vectors of one measurement: the kernel of
+    v -> (Tr P_1 v, ..., Tr P_k v), of dimension dim^2 - k (zero exactly
+    for dim == 1).  ``basis``, orthonormal, is computed on first use.
     """
 
     measurement: Measurement
-    basis: tuple[TwoStateVector, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.measurement.dim ** 2 - self.measurement.num_outcomes
+
+    @cached_property
+    def basis(self) -> tuple[TwoStateVector, ...]:
+        m = self.measurement
+        k, d = m.num_outcomes, m.dim
+        constraints = m._stacked.transpose(0, 2, 1).reshape(k, d * d)
+        vh = np.linalg.svd(constraints, full_matrices=True)[2]
+        # Read-only views of one conjugated block of vh, not d^2 - k copies;
+        # unitary rows are finite and nonzero, all the constructor checks.
+        null = vh[k:].reshape(-1, d, d)
+        np.conjugate(null, out=null)
+        null.setflags(write=False)
+        basis = tuple(object.__new__(TwoStateVector) for _ in null)
+        for b, mat in zip(basis, null):
+            object.__setattr__(b, "matrix", mat)
+        return basis
 
 
 def null_subspace(m: Measurement) -> NullSubspace:
-    """Compute the story-less subspace of ``m`` by rank-revealing SVD.
-
-    The constraint matrix stacks one row per projector, row i being the
-    coefficient vector of the linear functional v -> Tr(P_i matrix(v)).
-    Singular values at or below 1e-9 times the largest are treated as
-    zero; the detected kernel dimension must match dim^2 - k exactly.
-    """
-    k, d = m.num_outcomes, m.dim
-    constraints = m._stacked.transpose(0, 2, 1).reshape(k, d * d)
-    _, s, vh = np.linalg.svd(constraints, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    if rank != k:
-        raise KernelDimensionError(
-            f"numerical kernel dimension {d * d - rank} != {d * d - k}"
-        )
-    # The basis vectors are read-only views of one conjugated block of vh,
-    # freed as a whole, not d^2 - k copies scattered on the heap; rows of a
-    # unitary are finite and nonzero, which is all the constructor checks.
-    null = vh[k:].reshape(-1, d, d)
-    np.conjugate(null, out=null)
-    null.setflags(write=False)
-    basis = tuple(object.__new__(TwoStateVector) for _ in null)
-    for b, mat in zip(basis, null):
-        object.__setattr__(b, "matrix", mat)
-    return NullSubspace(m, basis)
+    """The story-less subspace of ``m``: dimension dim^2 - k by law, and
+    its basis, by SVD of the constraint rows v -> Tr(P_i v), computed in
+    this call.  ``NullSubspace(m)`` alone defers the basis to first use."""
+    ns = NullSubspace(m)
+    _ = ns.basis
+    return ns
 
 
 def membership_in_null(v: TwoStateVector, ns: NullSubspace,

@@ -98,7 +98,12 @@ def test_criterion_03_null_dimension_law():
         for k in range(1, dim + 1):
             for rep in range(50):
                 m = random_measurement(dim, k, [303, dim, k, rep])
-                assert null_subspace(m).dim == dim * dim - k
+                # dim states the law; d^2 minus the SVD rank of the k
+                # constraint rows v -> Tr(P_i v) measures it
+                rows = np.stack([p.matrix.T.ravel() for p in m.projectors])
+                s = np.linalg.svd(rows, compute_uv=False)
+                measured = dim * dim - int(np.sum(s > 1e-9 * s[0]))
+                assert measured == null_subspace(m).dim == dim * dim - k
             cells += 1
     _report(3, f"{cells} (dim, k) cells x 50 measurements, all exact",
             perf_counter() - t0, 60.0)

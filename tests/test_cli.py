@@ -1,5 +1,6 @@
 """Command line contract: outputs, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -87,6 +88,30 @@ def test_find_story_command(capsys):
     code, out, _ = run(["find-story", "qutrit_signed"], capsys)
     assert code == 0
     assert "case: DIAGONAL" in out
+
+
+#: SHA-256 of ``find-story <vector> --json`` for each bundled vector; the
+#: certificate, its lazily built measurement included, is byte-stable.
+FIND_STORY_SHA256 = {
+    "ket0_bra0":
+        "6b90d14ed4545b42f8d8273c2783ea00e95b2d8c3276d6b733383441521b9b4d",
+    "ket1_bra1":
+        "9b8c994d4c97bd993cb1055b9159a7c783cb9ef8c28e10b7a6b50957bfecd6b0",
+    "ket0_bra1":
+        "9a83006113cf92784e173c75d5eb7a30b79de3cb468dd19f3124b994067483fa",
+    "qubit_identity":
+        "d5f6494720988a8faee5c2f1104a8d975cbfeb1e2d936bbbedaf5e29a609b3fb",
+    "qutrit_signed":
+        "f437da61e9f28a48ad1638a3636d7c1fb6eb519f5945d6230cc43d5dbae0acb7",
+}
+
+
+@pytest.mark.parametrize("vector", sorted(FIND_STORY_SHA256))
+def test_find_story_json_is_pinned(vector, capsys):
+    code, out, _ = run(["find-story", vector, "--json"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FIND_STORY_SHA256[vector]
 
 
 def test_nullspace_command(capsys):
@@ -187,6 +212,51 @@ def test_validate_builtin(capsys):
     assert "workspace valid" in out
 
 
+def test_validate_refuses_zero_projector(tmp_path, capsys):
+    doc = builtin_workspace().to_json_dict()
+    doc["measurements"]["z"] = {
+        "dim": 2, "projectors": [[[[0.0, 0.0], [0.0, 0.0]]] * 2,
+                                 [[[1.0, 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [1.0, 0.0]]]]}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["validate", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert ("measurements/z: FAIL: MeasurementValidationError: projector 0 "
+            "is the zero projector (rank 0)") in out
+    code, _, err = run(["nullspace", "z", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert "zero projector" in err
+
+
+def nan_mixture_workspace(tmp_path):
+    """The bundled inventory plus a mixture whose first weight is NaN
+    (Python's json reads and writes the bare NaN token)."""
+    doc = builtin_workspace().to_json_dict()
+    doc["mixtures"]["nanmix"] = {"components": [
+        {"weight": float("nan"), "vector": "ket0_bra0"},
+        {"weight": 1.0, "vector": "ket1_bra1"}]}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_refuses_nan_mixture_weight(tmp_path, capsys):
+    path = nan_mixture_workspace(tmp_path)
+    code, out, _ = run(["validate", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert "mixtures/nanmix: FAIL" in out
+
+
+def test_distinguish_refuses_nan_mixture_weight(tmp_path, capsys):
+    path = nan_mixture_workspace(tmp_path)
+    code, out, err = run(["distinguish", "nanmix", "qubit_identity",
+                          "--workspace", str(path)], capsys)
+    assert code == 1
+    assert "indistinguishable" not in out
+    assert "mixture weight nan" in err
+
+
 def test_validate_broken_file(tmp_path, capsys):
     path = tmp_path / "ws.json"
     path.write_text(
@@ -223,6 +293,27 @@ def test_workspace_file_matches_builtin(tmp_path, capsys):
     _, from_builtin, _ = run(["abl", "ket0_bra1", "diagonal", "--json"],
                              capsys)
     assert from_file == from_builtin
+
+
+def test_reproduce_takes_no_workspace(capsys):
+    """reproduce always runs on the bundled inventory, so it refuses
+    --workspace rather than ignoring it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "1", "--workspace", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workspace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["abl", "ket0_bra1", "diagonal", "--seed", "1"],
+    ["nullspace", "computational", "--tol", "1e-9"],
+    ["montecarlo", "ket0", "ket1", "diagonal", "--tol", "1e-9"],
+    ["validate", "--seed", "1"],
+])
+def test_commands_refuse_flags_they_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])

@@ -63,6 +63,8 @@ def test_mixture_weights_must_sum_to_one():
         Mixture(((-0.5, E00), (1.5, E11)))
     with pytest.raises(ShapeMismatchError):
         Mixture(())
+    with pytest.raises(ShapeMismatchError):
+        Mixture(((np.nan, E00), (1.0, E11)))
 
 
 def test_mixture_rejects_mixed_dims():

@@ -6,6 +6,7 @@ import pytest
 from twinspace import (
     DimensionMismatchError,
     Measurement,
+    MeasurementValidationError,
     NotAStoryError,
     NotCompleteError,
     NotHermitianError,
@@ -107,6 +108,43 @@ def test_validate_measurement_accepts_raw_matrices():
                              labels=["up", "down"])
     assert m.labels == ("up", "down")
     assert m.num_outcomes == 2
+
+
+def test_validate_measurement_names_the_offending_projector():
+    with pytest.raises(NotHermitianError) as exc:
+        validate_measurement([np.diag([1.0, 0.0]), [[0, 1], [0, 1]]])
+    assert exc.value.index == 1
+    assert str(exc.value) == "projector is not Hermitian"
+
+
+ZERO_OUTCOME = [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])]
+
+
+def test_measurement_refuses_zero_projector():
+    with pytest.raises(MeasurementValidationError) as exc:
+        Measurement(tuple(Projector(p) for p in ZERO_OUTCOME))
+    assert exc.value.index == 1
+
+
+def test_validate_measurement_refuses_zero_projector():
+    with pytest.raises(MeasurementValidationError) as exc:
+        validate_measurement([np.zeros((2, 2)), np.eye(2)])
+    assert exc.value.index == 0
+
+
+def test_basis_grouping_refuses_empty_group():
+    with pytest.raises(MeasurementValidationError) as exc:
+        measurement_from_basis_grouping([KET0, KET1], [[0, 1], []])
+    assert exc.value.index == 1
+
+
+def test_measurement_from_json_refuses_zero_projector():
+    obj = {"dim": 2,
+           "projectors": [[[[float(z.real), float(z.imag)] for z in row]
+                           for row in p] for p in ZERO_OUTCOME]}
+    with pytest.raises(MeasurementValidationError) as exc:
+        Measurement.from_json(obj)
+    assert exc.value.index == 1
 
 
 def test_measurement_json_round_trip():
@@ -238,6 +276,8 @@ def test_distribution_rejects_bad_probabilities():
         OutcomeDistribution([0.5, 0.6])
     with pytest.raises(ShapeMismatchError):
         OutcomeDistribution([-0.1, 1.1])
+    with pytest.raises(ShapeMismatchError):
+        OutcomeDistribution([np.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,13 @@ def test_experiment_requires_positive_trials():
         PrePostExperiment(KET0, KET1, DIAGONAL, 0, 0)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_mixture_experiment_refuses_non_finite_weight(weight):
+    with pytest.raises(ShapeMismatchError):
+        MixtureExperiment(((weight, PLUS, PLUS), (1.0, KET0, KET1)),
+                          DIAGONAL, 1000, 0)
+
+
 def test_experiment_requires_story():
     # measuring in the computational basis can never post-select |1> from |0>
     with pytest.raises(NotAStoryError):

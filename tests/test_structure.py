@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from twinspace import (
     MAX_DIM,
     KernelDimensionError,
+    Measurement,
     NotAStoryError,
+    NullSubspace,
     StoryCase,
     TwoStateVector,
     abl_probabilities,
@@ -101,6 +103,20 @@ def test_dimension_one_story():
     assert cert.amplitude_magnitude == pytest.approx(2.0)
 
 
+def test_find_story_builds_no_measurement(monkeypatch):
+    """The certificate amplitude is read off the witness projector alone;
+    the measurement is built only when asked for."""
+    def refuse(self, tol):
+        raise AssertionError("find_story_measurement built a Measurement")
+
+    v = random_two_state(4)
+    monkeypatch.setattr(Measurement, "__post_init__", refuse)
+    cert = find_story_measurement(v)
+    monkeypatch.undo()
+    amp = abs(outcome_amplitudes(v, cert.measurement)[0])
+    assert cert.amplitude_magnitude == amp
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
 def test_story_certificate_total(seed, dim):
@@ -137,6 +153,30 @@ def test_null_dimension_law_small():
             for seed in range(5):
                 m = random_measurement(dim, k, [17, dim, k, seed])
                 assert null_subspace(m).dim == dim * dim - k
+                # measured: the k constraint rows v -> Tr(P_i v) have rank k
+                rows = np.stack([p.matrix.T.ravel() for p in m.projectors])
+                assert np.linalg.matrix_rank(rows) == k
+
+
+@pytest.mark.parametrize("k", [1, MAX_DIM // 2, MAX_DIM])
+def test_null_dimension_and_membership_need_no_svd(monkeypatch, k):
+    """dim is the law dim^2 - k and membership the negated story rule: at
+    MAX_DIM neither runs the d^2 x d^2 SVD behind the basis, which a bare
+    NullSubspace defers and null_subspace computes."""
+    m = random_measurement(MAX_DIM, k, [19, k])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    ns = NullSubspace(m)
+    assert ns.dim == MAX_DIM ** 2 - k
+    assert not membership_in_null(TwoStateVector(np.eye(MAX_DIM)), ns)
+    assert membership_in_null(near_threshold_vector(m, k, 0.0), ns)
+    with pytest.raises(AssertionError, match="svd"):
+        ns.basis
+    with pytest.raises(AssertionError, match="svd"):
+        null_subspace(m)
 
 
 def test_null_dimension_one_outcome():
