@@ -60,6 +60,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .measurement import (
+    MEASUREMENT_TOL,
     Measurement,
     OutcomeDistribution,
     Projector,

@@ -51,6 +51,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unchecked(cls, matrix: np.ndarray):
+    """A ``cls`` holding ``matrix`` as is, its constructor's checks skipped:
+    for read-only matrices that are valid by construction."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "matrix", matrix)
+    return obj
+
+
+def _square(matrix, what: str) -> np.ndarray:
+    arr = np.asarray(matrix)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeMismatchError(
+            f"{what} must be square, got shape {arr.shape}")
+    return arr
+
+
 def _check_finite(array: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(array.view(np.float64))):
         raise ZeroVectorError(f"{what} contains non-finite entries")
@@ -139,11 +155,7 @@ class TwoStateVector:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeMismatchError(
-                f"two-state vector matrix must be square, got shape {arr.shape}"
-            )
+        arr = _square(self.matrix, "two-state vector matrix")
         _check_dim(arr.shape[0], "two-state vector")
         arr = _frozen(arr)
         _check_finite(arr, "two-state vector")

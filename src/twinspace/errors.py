@@ -2,8 +2,10 @@
 
 Every error raised by the library derives from :class:`TwinspaceError`, so
 callers (in particular the CLI) can distinguish library failures from
-programming errors.  Measurement validation errors carry the index of the
-first offending projector (a rank-0 one included) or pair of projectors.
+programming errors.  Measurement validation errors come from the one
+measurement rule (absolute tolerance ``MEASUREMENT_TOL``, NaN failing; see
+``twinspace.measurement``) and carry the index of the first offending
+projector (a rank-0 one included) or pair of projectors.
 """
 
 from __future__ import annotations

@@ -1,8 +1,14 @@
 r"""Projective measurements, outcome amplitudes, stories, and the ABL rule.
 
-A measurement is an ordered partition of unity into orthogonal projectors
-{P_1, ..., P_k}.  Applied between a preparation and a post-selection the
-relevant quantity is the complex outcome amplitude
+A measurement is an ordered partition of unity into nonzero orthogonal
+projectors {P_1, ..., P_k} on C^d, 1 <= d <= MAX_DIM; ``Measurement`` is
+the one place that checks it.  Its rule compares absolutely at
+MEASUREMENT_TOL = DEFAULT_TOL, failing on NaN (so on any non-finite entry),
+in this order: each P_i Hermitian, then idempotent; rank >= 1;
+P_i P_j = 0 for i < j; sum_i P_i = 1.
+
+Applied between a preparation and a post-selection the relevant quantity
+is the complex outcome amplitude
 
     A_i(v) = Tr(P_i matrix(v)),
 
@@ -25,7 +31,7 @@ All predicates are scale-invariant in v.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +40,11 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
+    _check_dim,
     _frozen,
     _frozen_real,
+    _square,
+    _unchecked,
     matrix_from_json,
     matrix_to_json,
 )
@@ -50,31 +59,47 @@ from .errors import (
     ShapeMismatchError,
 )
 
+#: The one absolute tolerance of the measurement rule.
+MEASUREMENT_TOL = DEFAULT_TOL
+
 #: Relative eigenvalue gap that starts a new outcome in
 #: measurement_from_observable.
 _DEGENERACY_TOL = 1e-8
 
 
+def _first_failure(defect: np.ndarray) -> int | None:
+    """Index of the first matrix of a (k, d, d) defect stack with an entry
+    not within MEASUREMENT_TOL in magnitude (so NaN fails), or None."""
+    ok = np.all(np.abs(defect) <= MEASUREMENT_TOL, axis=(-2, -1))
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def _check_projectors(stack: np.ndarray) -> None:
+    """The Hermitian, then idempotent, part of the measurement rule on a
+    (k, d, d) stack, by index; a lone (d, d) projector gets none."""
+    lone = stack.ndim == 2
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, which fails
+        i = _first_failure(stack - np.swapaxes(stack, -1, -2).conj())
+    if i is not None:
+        raise NotHermitianError("projector is not Hermitian",
+                                index=None if lone else i)
+    i = _first_failure(stack @ stack - stack)
+    if i is not None:
+        raise NotIdempotentError("projector is not idempotent",
+                                 index=None if lone else i)
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """An orthogonal projector: Hermitian and idempotent, checked on
-    construction at relative tolerance ``tol``."""
+    """An orthogonal projector: Hermitian and idempotent within
+    MEASUREMENT_TOL, the first half of the measurement rule."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float):
-        arr = np.asarray(self.matrix)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeMismatchError(
-                f"projector must be square, got shape {arr.shape}"
-            )
-        arr = _frozen(arr)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - arr.conj().T))) > tol * scale:
-            raise NotHermitianError("projector is not Hermitian")
-        if float(np.max(np.abs(arr @ arr - arr))) > tol * scale:
-            raise NotIdempotentError("projector is not idempotent")
+    def __post_init__(self):
+        arr = _frozen(_square(self.matrix, "projector"))
+        _check_projectors(arr)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -87,50 +112,55 @@ class Projector:
         return int(round(float(np.trace(self.matrix).real)))
 
     @classmethod
-    def onto_state(cls, state: StateVector, tol: float = DEFAULT_TOL) -> "Projector":
+    def onto_state(cls, state: StateVector) -> "Projector":
         """Rank-one projector |s><s| / <s|s> onto the given state."""
         a = state.amplitudes / state.norm
-        return cls(np.outer(a, a.conj()), tol)
+        return cls(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """An ordered complete family of nonzero, mutually orthogonal projectors.
 
-    Construction refuses a rank-0 outcome by index (which pins the
-    story-less subspace at dimension dim^2 - k), then checks pairwise
-    orthogonality (naming the first failing pair) and completeness
-    sum_i P_i = 1.  ``labels``, when given, name the outcomes.
+    ``projectors`` may be :class:`Projector` objects or square matrices;
+    construction applies the measurement rule of the module docstring and
+    keeps them as read-only ``Projector`` views of one (k, d, d) stack.
+    ``labels``, when given, name the outcomes.
     """
 
     projectors: tuple[Projector, ...]
     labels: tuple[str, ...] | None = None
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float):
-        projs = tuple(self.projectors)
-        if not projs:
+    def __post_init__(self):
+        mats = [_square(p.matrix if isinstance(p, Projector) else p,
+                        "projector") for p in self.projectors]
+        if not mats:
             raise ShapeMismatchError("measurement needs at least one projector")
-        dim = projs[0].dim
-        for i, p in enumerate(projs):
-            if p.dim != dim:
+        dim = mats[0].shape[0]
+        for i, a in enumerate(mats):
+            if a.shape[0] != dim:
                 raise DimensionMismatchError(
-                    f"projector {i} has dim {p.dim}, expected {dim}"
+                    f"projector {i} has dim {a.shape[0]}, expected {dim}"
                 )
+        _check_dim(dim, "measurement")
+        stack = _frozen(mats)
+        _check_projectors(stack)
+        projs = tuple(_unchecked(Projector, p) for p in stack)
+        for i, p in enumerate(projs):
             if p.rank < 1:
                 raise MeasurementValidationError(
                     f"projector {i} is the zero projector (rank 0)", index=i)
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                err = float(np.max(np.abs(projs[i].matrix @ projs[j].matrix)))
-                if err > tol:
-                    raise NotOrthogonalError(
-                        f"projectors {i} and {j} are not orthogonal "
-                        f"(max |P_{i} P_{j}| = {err:.3e})",
-                        pair=(i, j),
-                    )
-        total = sum(p.matrix for p in projs)
-        if float(np.max(np.abs(total - np.eye(dim)))) > tol:
+        for i in range(len(projs) - 1):
+            j = _first_failure(stack[i] @ stack[i + 1:])
+            if j is not None:
+                j += i + 1
+                err = float(np.max(np.abs(stack[i] @ stack[j])))
+                raise NotOrthogonalError(
+                    f"projectors {i} and {j} are not orthogonal "
+                    f"(max |P_{i} P_{j}| = {err:.3e})",
+                    pair=(i, j),
+                )
+        if _first_failure(stack.sum(axis=0) - np.eye(dim)) is not None:
             raise NotCompleteError("projectors do not sum to the identity")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -140,13 +170,11 @@ class Measurement:
                 )
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "projectors", projs)
-        stacked = np.stack([p.matrix for p in projs])
-        stacked.setflags(write=False)
-        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_stacked", stack)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        return self._stacked.shape[1]
 
     @property
     def num_outcomes(self) -> int:
@@ -155,7 +183,8 @@ class Measurement:
     @classmethod
     def trivial(cls, dim: int) -> "Measurement":
         """The single-outcome measurement {identity}."""
-        return cls((Projector(np.eye(dim)),))
+        _check_dim(dim, "measurement")  # before np.eye allocates d x d
+        return cls((np.eye(dim),))
 
     def to_json(self) -> dict:
         obj = {
@@ -167,9 +196,9 @@ class Measurement:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "Measurement":
-        m = validate_measurement(map(matrix_from_json, obj["projectors"]), tol,
-                                 obj["labels"] if "labels" in obj else None)
+    def from_json(cls, obj: dict) -> "Measurement":
+        m = cls([matrix_from_json(p) for p in obj["projectors"]],
+                obj["labels"] if "labels" in obj else None)
         if m.dim != obj["dim"]:
             raise ShapeMismatchError(
                 f"declared dim {obj['dim']} != projector dim {m.dim}"
@@ -180,78 +209,61 @@ class Measurement:
         return f"Measurement(dim={self.dim}, outcomes={self.num_outcomes})"
 
 
-def validate_measurement(projectors: Sequence, tol: float = DEFAULT_TOL,
+def validate_measurement(projectors: Sequence, *,
                          labels: Sequence[str] | None = None) -> Measurement:
     """Validate raw projector matrices into a :class:`Measurement`.
 
     Raises the first violated invariant's MeasurementValidationError, with
     the ``index`` (or ``pair``) of the culprit; never repairs the input.
     """
-    projs = []
-    for i, p in enumerate(projectors):
-        try:
-            projs.append(p if isinstance(p, Projector) else Projector(p, tol))
-        except MeasurementValidationError as err:
-            err.index = i
-            raise
-    return Measurement(projs, labels, tol)
+    return Measurement(projectors, labels)
 
 
-def _measurement_from_columns(blocks, labels=None,
-                              tol: float = DEFAULT_TOL) -> Measurement:
+def _measurement_from_columns(blocks, labels=None) -> Measurement:
     """Outcome i projects onto the span of the orthonormal columns of
     ``blocks[i]``: P_i = cols cols^dagger."""
-    return Measurement(tuple(Projector(cols @ cols.conj().T, tol)
-                             for cols in blocks), labels, tol)
+    return Measurement([cols @ cols.conj().T for cols in blocks], labels)
 
 
 def measurement_from_basis_grouping(
     basis: Sequence[StateVector],
     grouping: Sequence[Sequence[int]],
     labels: Sequence[str] | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> Measurement:
     """Build a measurement from an orthonormal basis and an index partition.
 
     ``grouping`` must list every basis index exactly once across nonempty
-    groups; outcome g gets the projector sum_{j in g} |b_j><b_j|.
+    groups; outcome g gets the projector sum_{j in g} |b_j><b_j|.  A basis
+    that is not orthonormal fails the measurement rule on those projectors.
     """
     dim = basis[0].dim
     if len(basis) != dim:
         raise ShapeMismatchError(f"{len(basis)} basis vectors for dim {dim}")
     b = np.column_stack([s.amplitudes for s in basis])
-    gram = b.conj().T @ b
-    err = np.abs(gram - np.eye(dim))
-    if float(np.max(err)) > tol:
-        i, j = np.unravel_index(int(np.argmax(err)), err.shape)
-        raise NotOrthogonalError(
-            f"basis vectors {i} and {j} fail orthonormality "
-            f"(|<b_{i}|b_{j}> - delta| = {err[i, j]:.3e})",
-            pair=(int(i), int(j)),
-        )
     # An empty group is the rank-0 outcome that Measurement refuses.
     if sorted(int(i) for group in grouping for i in group) != list(range(dim)):
         raise ShapeMismatchError(
             f"grouping {grouping!r} is not a partition of range({dim})"
         )
     return _measurement_from_columns([b[:, list(g)] for g in grouping],
-                                     labels, tol)
+                                     labels)
 
 
-def measurement_from_observable(matrix, tol: float = DEFAULT_TOL) -> Measurement:
+def measurement_from_observable(matrix) -> Measurement:
     """Spectral measurement of a Hermitian observable.
 
     Eigenvalues are clustered greedily in ascending order: a new outcome
     starts whenever the gap to the previous eigenvalue exceeds
     _DEGENERACY_TOL * (spectral range).  Outcome labels are the cluster
     mean eigenvalues.  A zero spectral range collapses everything to the
-    single-outcome measurement {identity}.
+    single-outcome measurement {identity}.  The observable must be finite
+    and Hermitian within DEFAULT_TOL * max(1, max |entry|).
     """
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatchError(f"observable must be square, got {arr.shape}")
+    arr = _square(np.asarray(matrix, dtype=np.complex128), "observable")
+    _check_dim(arr.shape[0], "observable")
     scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.conj().T))) > tol * scale:
+    if not (np.all(np.isfinite(arr)) and np.max(np.abs(arr - arr.conj().T))
+            <= DEFAULT_TOL * scale):
         raise NotHermitianError("observable is not Hermitian")
     vals, vecs = np.linalg.eigh(arr)
     spread = float(vals[-1] - vals[0])
@@ -264,7 +276,7 @@ def measurement_from_observable(matrix, tol: float = DEFAULT_TOL) -> Measurement
         clusters[-1].append(i)
     return _measurement_from_columns(
         [vecs[:, idxs] for idxs in clusters],
-        [repr(float(np.mean(vals[idxs]))) for idxs in clusters], tol)
+        [repr(float(np.mean(vals[idxs]))) for idxs in clusters])
 
 
 def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
@@ -375,6 +387,7 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
         raise ShapeMismatchError(
             f"num_outcomes must lie in [1, {dim}], got {num_outcomes}"
         )
+    _check_dim(dim, "measurement")  # before the d x d draws
     rng = np.random.default_rng(rng_seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

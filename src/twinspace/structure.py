@@ -36,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector, TwoStateVector
+from .core import DEFAULT_TOL, StateVector, TwoStateVector, _unchecked
 from .errors import KernelDimensionError, NoWitnessError
-from .measurement import Measurement, Projector, _amplitudes, forms_story
+from .measurement import Measurement, _amplitudes, forms_story
 
 
 class StoryCase(Enum):
@@ -65,10 +65,11 @@ class StoryCertificate:
 
     @cached_property
     def measurement(self) -> Measurement:
-        p = Projector.onto_state(self.witness)
+        a = self.witness.amplitudes / self.witness.norm
+        p = np.outer(a, a.conj())
         if self.witness.dim == 1:
             return Measurement((p,))
-        return Measurement((p, Projector(np.eye(self.witness.dim) - p.matrix)))
+        return Measurement((p, np.eye(self.witness.dim) - p))
 
     def to_json(self) -> dict:
         return {
@@ -149,10 +150,7 @@ class NullSubspace:
         null = vh[k:].reshape(-1, d, d)
         np.conjugate(null, out=null)
         null.setflags(write=False)
-        basis = tuple(object.__new__(TwoStateVector) for _ in null)
-        for b, mat in zip(basis, null):
-            object.__setattr__(b, "matrix", mat)
-        return basis
+        return tuple(_unchecked(TwoStateVector, mat) for mat in null)
 
 
 def null_subspace(m: Measurement) -> NullSubspace:

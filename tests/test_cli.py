@@ -229,6 +229,56 @@ def test_validate_refuses_zero_projector(tmp_path, capsys):
     assert "zero projector" in err
 
 
+def workspace_with_measurement(tmp_path, name, obj):
+    doc = builtin_workspace().to_json_dict()
+    doc["measurements"][name] = obj
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_nan_projector_is_refused(tmp_path, capsys):
+    """Python's json reads the bare NaN token; a NaN projector used to pass
+    validate, make story say false for a vector with nonzero trace, and
+    make abl exit 2."""
+    path = workspace_with_measurement(tmp_path, "nanm", {
+        "dim": 2, "projectors": [[[[1.0, 0.0], [float("nan"), 0.0]],
+                                  [[float("nan"), 0.0], [0.0, 0.0]]],
+                                 [[[0.0, 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [1.0, 0.0]]]]})
+    code, out, _ = run(["validate", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert ("measurements/nanm: FAIL: NotHermitianError: projector is not "
+            "Hermitian") in out
+    for argv in (["story", "qubit_identity", "nanm"],
+                 ["abl", "qubit_identity", "nanm"]):
+        code, out, err = run(argv + ["--workspace", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "measurement 'nanm': projector is not Hermitian" in err
+
+
+@pytest.mark.parametrize("dim", [0, 65])
+def test_measurement_dimension_outside_cap_is_refused(dim, tmp_path, capsys,
+                                                     monkeypatch):
+    """Refused on load, before the null-space SVD (d^2 x d^2) could run."""
+    path = workspace_with_measurement(tmp_path, "big", {
+        "dim": dim, "projectors": [
+            [[[1.0 if r == c else 0.0, 0.0] for c in range(dim)]
+             for r in range(dim)]]})
+    code, out, _ = run(["validate", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert "measurements/big: FAIL: ShapeMismatchError" in out
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("null-space SVD reached")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    code, _, err = run(["nullspace", "big", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert "error: measurement 'big'" in err
+
+
 def nan_mixture_workspace(tmp_path):
     """The bundled inventory plus a mixture whose first weight is NaN
     (Python's json reads and writes the bare NaN token)."""

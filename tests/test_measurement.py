@@ -1,9 +1,18 @@
 """Projective measurements, outcome amplitudes, story predicate, ABL rule."""
 
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import twinspace.measurement as measurement_module
 from twinspace import (
+    MAX_DIM,
+    MEASUREMENT_TOL,
     DimensionMismatchError,
     Measurement,
     MeasurementValidationError,
@@ -18,6 +27,7 @@ from twinspace import (
     StateVector,
     TwoStateVector,
     abl_probabilities,
+    find_story_measurement,
     forms_story,
     measurement_from_basis_grouping,
     measurement_from_observable,
@@ -25,6 +35,8 @@ from twinspace import (
     random_measurement,
     validate_measurement,
 )
+from twinspace.core import matrix_to_json
+from twinspace.workspace import builtin_workspace
 
 S = 2.0 ** -0.5
 KET0 = StateVector.basis_state(2, 0)
@@ -44,13 +56,16 @@ COMPUTATIONAL = measurement_from_basis_grouping([KET0, KET1], [[0], [1]],
 # ---------------------------------------------------------------------------
 
 def test_projector_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        Projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    for matrix in ([[1.0, 1.0], [0.0, 0.0]], np.full((2, 2), np.nan)):
+        with pytest.raises(NotHermitianError):
+            Projector(np.array(matrix))
 
 
 def test_projector_rejects_non_idempotent():
-    with pytest.raises(NotIdempotentError):
-        Projector(0.5 * np.eye(2))
+    nearly = np.array([[1.0, 1e-4], [1e-4, 0.0]])  # idempotency defect ~1e-8
+    for matrix in (0.5 * np.eye(2), nearly):
+        with pytest.raises(NotIdempotentError):
+            Projector(matrix)
 
 
 def test_projector_rank():
@@ -61,13 +76,6 @@ def test_projector_rank():
 def test_onto_state_normalizes_input():
     p = Projector.onto_state(StateVector([2.0, 2.0]))
     np.testing.assert_allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-
-
-def test_projector_tolerance_is_adjustable():
-    nearly = np.array([[1.0, 1e-4], [1e-4, 0.0]])  # idempotency defect ~1e-8
-    with pytest.raises(NotIdempotentError):
-        Projector(nearly)
-    Projector(nearly, tol=1e-6)  # accepted under a loose tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +211,10 @@ def test_observable_constant_spectrum_is_trivial():
 
 
 def test_observable_must_be_hermitian():
-    with pytest.raises(NotHermitianError):
-        measurement_from_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for observable in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                       [[1.0, np.inf], [0.0, 1.0]]):
+        with pytest.raises(NotHermitianError):
+            measurement_from_observable(np.array(observable))
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +326,236 @@ def test_random_measurement_rejects_bad_outcome_count():
         random_measurement(3, 0, 0)
     with pytest.raises(ShapeMismatchError):
         random_measurement(3, 4, 0)
+
+
+# ---------------------------------------------------------------------------
+# The one measurement rule
+# ---------------------------------------------------------------------------
+
+def reference_fault(mats):
+    """The measurement rule as an independent loop over numpy matrices:
+    (error class, index or pair) of the first violation, or None."""
+    for i, p in enumerate(mats):
+        if not np.max(np.abs(p - p.conj().T)) <= MEASUREMENT_TOL:
+            return NotHermitianError, i
+    for i, p in enumerate(mats):
+        if not np.max(np.abs(p @ p - p)) <= MEASUREMENT_TOL:
+            return NotIdempotentError, i
+    for i, p in enumerate(mats):
+        if round(np.trace(p).real) < 1:
+            return MeasurementValidationError, i
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        if not np.max(np.abs(mats[i] @ mats[j])) <= MEASUREMENT_TOL:
+            return NotOrthogonalError, (i, j)
+    if not np.max(np.abs(sum(mats) - np.eye(len(mats[0])))) <= MEASUREMENT_TOL:
+        return NotCompleteError, None
+    return None
+
+
+def library_fault(mats):
+    try:
+        validate_measurement(mats)
+    except MeasurementValidationError as err:
+        return type(err), err.pair if err.pair is not None else err.index
+    return None
+
+
+def unitary_blocks(d, k, rng):
+    """k nonempty blocks of orthonormal columns of a random unitary."""
+    q = np.linalg.qr(rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))[0]
+    cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
+    return np.split(q, cuts, axis=1)
+
+
+def inject(kind, blocks, size, rng):
+    """Projectors of ``blocks`` with one fault of ``kind``; the sized kinds
+    get a largest defect of about ``size``.  Returns the matrices and the
+    (class, index or pair) the fault should raise."""
+    mats = [b @ b.conj().T for b in blocks]
+    d, i = len(mats[0]), int(rng.integers(len(mats)))
+    if kind == "hermitian":
+        a = int(rng.integers(d))
+        mats[i] = mats[i].copy()
+        mats[i][a, a] += 0.5j * size          # P^dagger - P = -i size at (a, a)
+        return mats, (NotHermitianError, i)
+    if kind == "idempotent":
+        v = blocks[i][:, 0]
+        vv = np.outer(v, v.conj())            # P + c vv^+ squares to P + (2c + c^2) vv^+
+        mats[i] = mats[i] + size / np.max(np.abs(vv)) * vv
+        return mats, (NotIdempotentError, i)
+    if kind == "orthogonal":
+        i, j = sorted(int(x) for x in rng.choice(len(mats), 2, replace=False))
+        u, v = blocks[i][:, 0], blocks[j][:, 0]
+        uv = np.outer(u, v.conj())            # (P_i + c(uv^+ + vu^+)) P_j = c uv^+
+        mats[i] = mats[i] + size / np.max(np.abs(uv)) * (uv + uv.conj().T)
+        return mats, (NotOrthogonalError, (i, j))
+    # The structural faults have no size: an outcome of rank 0, or one
+    # missing, is refused however small the rest of the error.
+    if kind == "rank0":
+        i = int(rng.integers(len(mats) + 1))
+        mats.insert(i, np.zeros((d, d)))
+        return mats, (MeasurementValidationError, i)
+    del mats[i]
+    return mats, (NotCompleteError, None)
+
+
+FAULTS = ("hermitian", "idempotent", "rank0", "orthogonal", "complete")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.sampled_from([*range(1, 9), MAX_DIM]),
+       kind=st.sampled_from(FAULTS), data=st.data())
+def test_one_rule_matches_reference(seed, d, kind, data):
+    """One fault at 10 (and 2) tol raises its class at the reference's
+    index or pair; at 0.1 (and 0.45) tol a sized fault is accepted.  The
+    inner sizes pin the tolerance within a factor of about two: for an
+    orthogonality fault the completeness defect can reach twice its size."""
+    two = kind in ("orthogonal", "complete")
+    assume(d >= 2 or not two)
+    k = data.draw(st.integers(2 if two else 1, min(d, 8)))
+    blocks = unitary_blocks(d, k, np.random.default_rng([seed, 0]))
+    for scale in (10.0, 2.0, 0.45, 0.1):
+        mats, expected = inject(kind, blocks, scale * MEASUREMENT_TOL,
+                                np.random.default_rng([seed, 1]))
+        reference = reference_fault(mats)
+        assert library_fault(mats) == reference
+        if scale > 1.0 or kind in ("rank0", "complete"):
+            assert reference == expected
+        else:
+            assert reference is None
+
+
+def test_projectors_are_read_only_views_of_the_stack():
+    for m in (DIAGONAL, random_measurement(MAX_DIM, 5, 1),
+              validate_measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])):
+        for p, row in zip(m.projectors, m._stacked):
+            assert np.shares_memory(p.matrix, m._stacked)
+            np.testing.assert_array_equal(p.matrix, row)
+            assert not p.matrix.flags.writeable
+
+
+def test_every_builder_checks_one_stack(monkeypatch):
+    """Each builder reaches the rule once, on the (k, d, d) stack, and
+    builds no intermediate Projector (which would check its own matrix)."""
+    shapes = []
+    check = measurement_module._check_projectors
+    monkeypatch.setattr(measurement_module, "_check_projectors",
+                        lambda stack: shapes.append(stack.shape) or check(stack))
+    builders = [
+        (2, 2, lambda: Measurement((np.diag([1.0, 0.0]),
+                                    np.diag([0.0, 1.0])))),
+        (2, 2, lambda: validate_measurement([np.diag([1.0, 0.0]),
+                                             np.diag([0.0, 1.0])])),
+        (2, 2, lambda: Measurement.from_json(DIAGONAL.to_json())),
+        (1, 3, lambda: Measurement.trivial(3)),
+        (3, 4, lambda: random_measurement(4, 3, 0)),
+        (2, 2, lambda: measurement_from_basis_grouping([KET0, KET1],
+                                                       [[0], [1]])),
+        (2, 3, lambda: measurement_from_observable(np.diag([1.0, 2.0, 2.0]))),
+        (2, 2, lambda: find_story_measurement(E01).measurement),
+    ]
+    for k, d, build in builders:
+        shapes.clear()
+        build()
+        assert shapes == [(k, d, d)]
+
+
+NAN_PROJECTORS = [np.array([[1.0, np.nan], [np.nan, 0.0]]), np.diag([0.0, 1.0])]
+
+
+def test_non_finite_entries_are_refused():
+    with pytest.raises(NotHermitianError) as exc:
+        validate_measurement(NAN_PROJECTORS)
+    assert exc.value.index == 0
+    with pytest.raises(NotHermitianError) as exc:
+        validate_measurement([np.diag([1.0, 0.0]), np.diag([0.0, np.inf])])
+    assert exc.value.index == 1
+    with pytest.raises(NotHermitianError) as exc:
+        validate_measurement([np.full((2, 2), np.nan)])
+    assert exc.value.index == 0
+    with pytest.raises(NotHermitianError):
+        Measurement.from_json({"dim": 2, "projectors": [
+            matrix_to_json(p) for p in NAN_PROJECTORS]})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Measurement.trivial(MAX_DIM + 1),
+    lambda: validate_measurement([np.eye(MAX_DIM + 1)]),
+    lambda: random_measurement(80, 2, 0),
+    lambda: measurement_from_observable(np.diag(np.arange(66.0))),
+    lambda: Measurement.trivial(0),
+    lambda: Measurement.trivial(-1),
+    lambda: validate_measurement([np.zeros((0, 0))]),
+    # Refused before any d x d array exists (10**6 x 10**6 would not fit).
+    lambda: Measurement.trivial(10**6),
+    lambda: random_measurement(10**6, 2, 0),
+])
+def test_dimension_outside_1_to_max_dim_is_refused(build):
+    with pytest.raises(ShapeMismatchError, match="dimension"):
+        build()
+
+
+def json_digest(m):
+    return hashlib.sha256(json.dumps(m.to_json(), sort_keys=True)
+                          .encode()).hexdigest()
+
+
+# Taken before the measurement rule moved onto the stack: the projector
+# bytes every builder stores did not change.
+BUNDLED_MEASUREMENT_SHA256 = {
+    "circular":
+        "972a83b66bba174026e48d8243d82da3556738f8052a36dfed6d310feb5a50f1",
+    "computational":
+        "c6ac6ff68d0faba352c7deb314d4f9e3a2fac9bcb1a04e9fbe141b90881f075a",
+    "diagonal":
+        "ca243fda90a4c07e58792c1422b107aa1a5bb4be8c2e7e75b0ed90f5a5d5c4be",
+    "identity_qubit":
+        "78364e04bf637a79c2568e5a1d8be50cf575dfaf207dee1b8f43ee3d2a4e169b",
+    "identity_qutrit":
+        "4abf1ba3eef7deab11e0c2f67b3e1ecaadd34f08f76b4422ce9eedd2e25b40e1",
+    "qutrit_family_1":
+        "88e2c51ed5c5d7b6bc150e913762a44f0cd66874ddc178669ee6b8de22f2d98f",
+    "qutrit_family_2":
+        "8d97b9d09945a3b8b98e2f27c3b950775fd370ab9b3c60a59d0cef9cb512f3f8",
+    "qutrit_family_3":
+        "88093856b72b772aeffb6abece99dc366409654153dcf2867552f543678e5269",
+    "qutrit_family_4":
+        "169b918a00aac0de150f69bbb6774cf113aec9ae25d296253ce8b5004aa6dd9e",
+}
+
+RANDOM_MEASUREMENT_SHA256 = {
+    (1, 1, 0):
+        "8fbf2f88b2f2ed1f89f16af5c91df6ff759dc09aaf7dcd39ab3e7ae7c57e2ba3",
+    (2, 1, 1):
+        "0729198474ff3a2330f52a12c9f9cdf44e2728f1b05629d94bc99985fd4dca9d",
+    (2, 2, 2):
+        "301b03e67138aa8fe706867b1e447c8c08fefc12d580eafba85ccd3a62c37944",
+    (3, 2, 3):
+        "f1e06e5970fb81279d62a0c075684dc2af7f10091da350d3a7da2318877f15e2",
+    (4, 3, 4):
+        "0cf408e952578f735d8e72997f43176014d16100c1d630c09f99f5270f27b8bb",
+    (8, 5, 5):
+        "dc7fc19b9a7a07810941fea056c70029bed3266249b163f3d2a3717a5fbc6824",
+    (16, 7, 6):
+        "28624189da0d97a4d6c82053f26fda80c6b0af680b249a166f7d7961c320cdcb",
+    (33, 12, 7):
+        "ea89ec90668f13906d83b47d91cb04d9bd7273e6ddf6be4bb2cd7b552f8e42fc",
+    (64, 2, 8):
+        "bbdb7d25ea54f6decd9e6cd8b707e891a89491dbc374cebf5e35e94584ba7aed",
+    (64, 64, 9):
+        "5c9d11c6020161c3be2186a8da59f75aef3edb21c0bb274b0d99b9285446fbae",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_MEASUREMENT_SHA256))
+def test_bundled_measurement_json_is_pinned(name):
+    m = builtin_workspace().measurement(name)
+    assert json_digest(m) == BUNDLED_MEASUREMENT_SHA256[name]
+
+
+@pytest.mark.parametrize("dim,k,seed", sorted(RANDOM_MEASUREMENT_SHA256))
+def test_random_measurement_json_is_pinned(dim, k, seed):
+    digest = json_digest(random_measurement(dim, k, seed))
+    assert digest == RANDOM_MEASUREMENT_SHA256[(dim, k, seed)]
