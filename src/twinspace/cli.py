@@ -72,7 +72,7 @@ def cmd_abl(args) -> int:
     ws = _load_workspace(args)
     v = ws.vector(args.vector)
     m = ws.measurement(args.measurement)
-    dist = abl_probabilities(v, m, args.tol)
+    dist = abl_probabilities(v, m)
     if args.json:
         _emit_json({
             "command": "abl",
@@ -91,7 +91,7 @@ def cmd_abl(args) -> int:
 def cmd_story(args) -> int:
     ws = _load_workspace(args)
     verdict = forms_story(ws.vector(args.vector),
-                          ws.measurement(args.measurement), args.tol)
+                          ws.measurement(args.measurement))
     if args.json:
         _emit_json({
             "command": "story",
@@ -106,7 +106,7 @@ def cmd_story(args) -> int:
 
 def cmd_find_story(args) -> int:
     ws = _load_workspace(args)
-    cert = find_story_measurement(ws.vector(args.vector), args.tol)
+    cert = find_story_measurement(ws.vector(args.vector))
     if args.json:
         _emit_json({"command": "find-story", "vector": args.vector,
                     "certificate": cert.to_json()})
@@ -143,7 +143,7 @@ def cmd_distinguish(args) -> int:
     a = ws.mixture_or_point(args.mixture_a)
     b = ws.mixture_or_point(args.mixture_b)
     result = search_distinguishing_measurement(
-        a, b, args.trials, args.outcomes, args.seed, args.tol
+        a, b, args.trials, args.outcomes, args.seed
     )
     if args.json:
         payload = {"command": "distinguish", "mixture_a": args.mixture_a,
@@ -154,7 +154,7 @@ def cmd_distinguish(args) -> int:
         _emit_json(payload)
     elif result is None:
         print(f"indistinguishable after {args.trials} trials "
-              f"(every gap <= {args.tol:g})")
+              f"(every gap <= {DEFAULT_TOL:g})")
     else:
         print(f"distinguishing measurement found at trial "
               f"{result.trial_index} (gap {result.gap:.6g})")
@@ -166,7 +166,7 @@ def cmd_feasibility(args) -> int:
     target = ws.vector(args.vector)
     measurements = [ws.measurement(name) for name in args.measurements]
     report = certify_strict_nonseparability(
-        target, measurements, args.starts, args.seed, args.tol
+        target, measurements, args.starts, args.seed
     )
     if args.json:
         _emit_json({"command": "feasibility", "vector": args.vector,
@@ -227,7 +227,7 @@ def cmd_validate(args) -> int:
 # reproduce: the three bundled demonstrations
 # ---------------------------------------------------------------------------
 
-def _reproduce_1(seed: int, tol: float) -> list[tuple[str, bool, str]]:
+def _reproduce_1(seed: int) -> list[tuple[str, bool, str]]:
     ws = builtin_workspace()
     target = ws.vector("ket0_bra1")
     mix = ws.mixture("classical_qubit")
@@ -249,7 +249,7 @@ def _reproduce_1(seed: int, tol: float) -> list[tuple[str, bool, str]]:
                    f"worst deviation {worst:.3e}"))
 
     found = search_distinguishing_measurement(
-        Mixture.point(target), mix, 300, 2, seed, tol
+        Mixture.point(target), mix, 300, 2, seed
     )
     checks.append(("no distinguishing measurement in 300 trials",
                    found is None,
@@ -258,7 +258,7 @@ def _reproduce_1(seed: int, tol: float) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _reproduce_2(seed: int, tol: float) -> list[tuple[str, bool, str]]:
+def _reproduce_2(seed: int) -> list[tuple[str, bool, str]]:
     ws = builtin_workspace()
     target = ws.vector("qubit_identity")
     mix = ws.mixture("classical_qubit")
@@ -272,14 +272,14 @@ def _reproduce_2(seed: int, tol: float) -> list[tuple[str, bool, str]]:
     all_ok = True
     for t in range(300):
         m = random_measurement(2, 1 + t % 2, [seed, 2, t])
-        all_ok = all_ok and replicates_on(Mixture.point(target), mix, m, tol)
+        all_ok = all_ok and replicates_on(Mixture.point(target), mix, m)
     checks.append(("classical mixture replicates the target on 300 random "
                    "one- and two-outcome measurements", all_ok,
                    "all replicated" if all_ok else "gap found"))
 
     family = [ws.measurement(n)
               for n in ("computational", "diagonal", "circular")]
-    cert = certify_strict_nonseparability(target, family, 24, seed, tol)
+    cert = certify_strict_nonseparability(target, family, 24, seed)
     checks.append(("certification over the qubit family is NOT_CERTIFIED "
                    "(a separable witness exists)",
                    cert.verdict is CertificationVerdict.NOT_CERTIFIED,
@@ -288,7 +288,7 @@ def _reproduce_2(seed: int, tol: float) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _reproduce_3(seed: int, tol: float) -> list[tuple[str, bool, str]]:
+def _reproduce_3(seed: int) -> list[tuple[str, bool, str]]:
     ws = builtin_workspace()
     target = ws.vector("qutrit_signed")
     family = [ws.measurement(n) for n in QUTRIT_FAMILY]
@@ -298,7 +298,7 @@ def _reproduce_3(seed: int, tol: float) -> list[tuple[str, bool, str]]:
     checks.append(("target is non-separable (Schmidt rank 3)",
                    not is_separable(target) and rank == 3, f"rank {rank}"))
 
-    system = zero_constraints(target, family, tol)
+    system = zero_constraints(target, family)
     shape_ok = (
         len(system.zero_outcomes) == 4
         and [mi for mi, _ in system.zero_outcomes] == [0, 1, 2, 3]
@@ -323,7 +323,7 @@ def _reproduce_3(seed: int, tol: float) -> list[tuple[str, bool, str]]:
 
 def cmd_reproduce(args) -> int:
     pipelines = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3}
-    checks = pipelines[args.example](args.seed, args.tol)
+    checks = pipelines[args.example](args.seed)
     passed = all(ok for _, ok, _ in checks)
     if args.json:
         _emit_json({
@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = ("--seed", {"type": int, "default": 0,
                        "help": "base seed for all randomized steps"})
-    tol = ("--tol", {"type": float, "default": DEFAULT_TOL,
-                     "help": "relative numerical tolerance"})
 
     def add_command(name: str, help_text: str, handler, *flags,
                     workspace=True):
@@ -370,16 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add_command("abl", "conditional outcome probabilities of a story",
-                     cmd_abl, tol)
+                     cmd_abl)
     sp.add_argument("vector")
     sp.add_argument("measurement")
 
-    sp = add_command("story", "does the pair form a story?", cmd_story, tol)
+    sp = add_command("story", "does the pair form a story?", cmd_story)
     sp.add_argument("vector")
     sp.add_argument("measurement")
 
     sp = add_command("find-story", "construct a story measurement",
-                     cmd_find_story, tol)
+                     cmd_find_story)
     sp.add_argument("vector")
 
     sp = add_command("nullspace", "story-less subspace of a measurement",
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("distinguish",
                      "search for a measurement separating two mixtures",
-                     cmd_distinguish, seed, tol)
+                     cmd_distinguish, seed)
     sp.add_argument("mixture_a", help="mixture or vector name")
     sp.add_argument("mixture_b", help="mixture or vector name")
     sp.add_argument("--trials", type=int, default=1000)
@@ -397,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("feasibility",
                      "certify strict non-separability over a family",
-                     cmd_feasibility, seed, tol)
+                     cmd_feasibility, seed)
     sp.add_argument("vector")
     sp.add_argument("measurements", nargs="+",
                     help="measurement names forming the family")
     sp.add_argument("--starts", type=int, default=64)
 
     sp = add_command("reproduce", "run one bundled demonstration",
-                     cmd_reproduce, seed, tol, workspace=False)
+                     cmd_reproduce, seed, workspace=False)
     sp.add_argument("example", type=int, choices=(1, 2, 3))
 
     sp = add_command("montecarlo",

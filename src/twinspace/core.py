@@ -26,6 +26,7 @@ available through :meth:`TwoStateVector.unit`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,11 +38,15 @@ from .errors import (
     ZeroVectorError,
 )
 
-#: Default relative tolerance for every zero test in the package.
+#: Tolerance of every story, zero, gap, Schmidt-rank and measurement rule.
 DEFAULT_TOL = 1e-10
 
 #: Hard cap on the Hilbert space dimension (dense-matrix regime).
 MAX_DIM = 64
+
+#: Norms and sums of squares inside this range are free of overflow and of
+#: digits lost to underflow.
+_SAFE_RANGE = (2.0 ** -450, 2.0 ** 450)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -59,12 +64,32 @@ def _unchecked(cls, matrix: np.ndarray):
     return obj
 
 
+def _array(data, what: str) -> np.ndarray:
+    """``np.asarray(data)``, refusing ragged nesting as a shape fault."""
+    try:
+        return np.asarray(data)
+    except ValueError as err:  # numpy's "inhomogeneous shape"
+        raise ShapeMismatchError(f"{what} is ragged: {err}") from None
+
+
 def _square(matrix, what: str) -> np.ndarray:
-    arr = np.asarray(matrix)
+    arr = _array(matrix, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatchError(
             f"{what} must be square, got shape {arr.shape}")
     return arr
+
+
+def _norm(array: np.ndarray) -> float:
+    """2-norm (Frobenius for a matrix) of a finite array at any scale:
+    outside _SAFE_RANGE (numpy warns of an overflow) it is recomputed on
+    the array scaled exactly by the power of two that brings max |entry|
+    into [1/2, 1), and scaled back."""
+    n = float(np.linalg.norm(array))  # inf on overflow, 0 on underflow
+    if _SAFE_RANGE[0] <= n <= _SAFE_RANGE[1]:
+        return n
+    e = math.frexp(float(np.max(np.abs(array))))[1]
+    return math.ldexp(float(np.linalg.norm(array * math.ldexp(1.0, -e))), e)
 
 
 def _check_finite(array: np.ndarray, what: str) -> None:
@@ -92,7 +117,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes)
+        arr = _array(self.amplitudes, "state vector")
         if arr.ndim != 1:
             raise ShapeMismatchError(
                 f"state vector must be one-dimensional, got shape {arr.shape}"
@@ -170,7 +195,7 @@ class TwoStateVector:
     @property
     def hs_norm(self) -> float:
         """Hilbert-Schmidt (Frobenius) norm."""
-        return float(np.linalg.norm(self.matrix))
+        return _norm(self.matrix)
 
     @classmethod
     def separable(cls, ket: StateVector, bra: StateVector) -> "TwoStateVector":
@@ -265,9 +290,10 @@ class SchmidtDecomposition:
     left: tuple[StateVector, ...]
     right: tuple[StateVector, ...]
 
-    def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Number of coefficients above ``tol`` relative to the largest."""
-        return int(np.sum(self.coefficients > tol * self.coefficients[0]))
+    def rank(self) -> int:
+        """Number of coefficients above DEFAULT_TOL times the largest."""
+        return int(np.sum(self.coefficients > DEFAULT_TOL
+                          * self.coefficients[0]))
 
 
 def schmidt(v: TwoStateVector) -> SchmidtDecomposition:
@@ -288,9 +314,9 @@ def _frozen_real(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_separable(v: TwoStateVector, tol: float = DEFAULT_TOL) -> bool:
+def is_separable(v: TwoStateVector) -> bool:
     """True iff v is a single ket-bra product, i.e. Schmidt rank one."""
-    return schmidt(v).rank(tol) == 1
+    return schmidt(v).rank() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ The central question here: can the statistics of a *non-separable*
 two-state vector be replicated by a mixture of separable ones?  Tooling:
 
 * ``replicates_on`` / ``search_distinguishing_measurement`` compare two
-  mixtures outcome-by-outcome over sampled measurements,
+  mixtures outcome-by-outcome over sampled measurements; two distributions
+  agree when their max-norm gap is at most DEFAULT_TOL,
 * ``zero_constraints`` collects the target's zero-probability outcomes,
-  each of which forces Tr(P Phi) = 0 on every would-be mixture member Phi,
+  those with ABL probability at most DEFAULT_TOL, each of which forces
+  Tr(P Phi) = 0 on every would-be mixture member Phi,
 * ``separable_feasibility`` attacks the resulting bilinear system with a
   seeded multi-start local descent over unit vectors alpha, beta
   (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), three-valued verdict,
@@ -101,8 +103,7 @@ class Mixture:
         }
 
 
-def mixture_statistics(mix: Mixture, m: Measurement,
-                       tol: float = DEFAULT_TOL) -> OutcomeDistribution:
+def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
     """Conditional outcome distribution of a mixture on one measurement.
 
     The prior-weighted rule: convex combination of the component ABL
@@ -113,7 +114,7 @@ def mixture_statistics(mix: Mixture, m: Measurement,
     """
     weights, dists = [], []
     for w, v in mix.components:
-        amps, story = _story_amplitudes(v, m, tol)
+        amps, story = _story_amplitudes(v, m)
         if story:
             weights.append(w)
             dists.append(_abl_distribution(amps).probabilities)
@@ -126,10 +127,10 @@ def mixture_statistics(mix: Mixture, m: Measurement,
     return OutcomeDistribution(combined)
 
 
-def _statistics_or_none(mix: Mixture, m: Measurement,
-                        tol: float) -> OutcomeDistribution | None:
+def _statistics_or_none(mix: Mixture,
+                        m: Measurement) -> OutcomeDistribution | None:
     try:
-        return mixture_statistics(mix, m, tol)
+        return mixture_statistics(mix, m)
     except NoStoryInMixtureError:
         return None
 
@@ -143,39 +144,37 @@ def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
     return float(np.max(np.abs(a.probabilities - b.probabilities)))
 
 
-def replicates_on(a: Mixture, b: Mixture, m: Measurement,
-                  tol: float = DEFAULT_TOL) -> bool:
+def replicates_on(a: Mixture, b: Mixture, m: Measurement) -> bool:
     """True iff the two mixtures are indistinguishable on ``m``.
 
-    Both form stories and their distributions agree within ``tol`` in max
-    norm, or neither forms a story.
+    Both form stories and their distributions agree within DEFAULT_TOL in
+    max norm (absolute), or neither forms a story.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    da, db = (_statistics_or_none(x, m, tol) for x in (a, b))
+    da, db = (_statistics_or_none(x, m) for x in (a, b))
     if (da is None) != (db is None):
         return False
     if da is None:
         return True
-    return distribution_gap(da, db) <= tol
+    return distribution_gap(da, db) <= DEFAULT_TOL
 
 
-def time_reversal_equivalence_check(v: TwoStateVector, measurements,
-                                    tol: float = DEFAULT_TOL) -> bool:
+def time_reversal_equivalence_check(v: TwoStateVector, measurements) -> bool:
     """Check that v and its time reversal are indistinguishable.
 
     For every measurement in the list, the story verdicts of v and
     time_reverse(v) must agree, and when a story forms the two ABL
-    distributions must agree within tol in max norm.
+    distributions must agree within DEFAULT_TOL in max norm.
     """
     rev = time_reverse(v)
     for m in measurements:
-        av, sv = _story_amplitudes(v, m, tol)
-        ar, sr = _story_amplitudes(rev, m, tol)
+        av, sv = _story_amplitudes(v, m)
+        ar, sr = _story_amplitudes(rev, m)
         if sv != sr:
             return False
         if sv and distribution_gap(_abl_distribution(av),
-                                   _abl_distribution(ar)) > tol:
+                                   _abl_distribution(ar)) > DEFAULT_TOL:
             return False
     return True
 
@@ -207,13 +206,12 @@ def search_distinguishing_measurement(
     trials: int,
     outcomes_per_trial: int,
     seed: int,
-    tol: float = DEFAULT_TOL,
 ) -> SearchResult | None:
     """Sample random measurements until one separates the two mixtures.
 
     Trial t draws its measurement from the derived seed (seed, t), so the
     search is deterministic and order-independent.  Returns the first
-    measurement whose distribution gap exceeds ``tol`` (gap 1.0 when
+    measurement whose distribution gap exceeds DEFAULT_TOL (gap 1.0 when
     exactly one side forms a story), or None after all trials.
     """
     if a.dim != b.dim:
@@ -222,13 +220,13 @@ def search_distinguishing_measurement(
         raise ShapeMismatchError("trials must be >= 1")
     for t in range(trials):
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
-        da, db = (_statistics_or_none(x, m, tol) for x in (a, b))
+        da, db = (_statistics_or_none(x, m) for x in (a, b))
         if (da is None) != (db is None):
             return SearchResult(m, 1.0, t, trials, seed)
         if da is None:
             continue
         gap = distribution_gap(da, db)
-        if gap > tol:
+        if gap > DEFAULT_TOL:
             return SearchResult(m, gap, t, trials, seed)
     return None
 
@@ -242,7 +240,7 @@ class ZeroConstraintSystem:
     """Zero-probability outcomes of a target across a measurement family.
 
     Each ``zero_outcomes`` pair (measurement index, outcome index) has
-    target ABL probability <= ``zero_tol``; any mixture member replicating
+    target ABL probability <= DEFAULT_TOL; any mixture member replicating
     the target must satisfy Tr(P_outcome Phi) = 0 for all of them.  The
     ``anchor`` pair marks the target's largest-probability outcome of the
     first measurement: a replicating member must keep its amplitude away
@@ -253,7 +251,6 @@ class ZeroConstraintSystem:
     measurements: tuple[Measurement, ...]
     zero_outcomes: tuple[tuple[int, int], ...]
     anchor: tuple[int, int]
-    zero_tol: float
 
     def __post_init__(self):
         if not self.measurements:
@@ -264,12 +261,11 @@ class ZeroConstraintSystem:
                     f"measurement dim {m.dim} != target dim {self.target.dim}"
                 )
         for mi, oi in self.zero_outcomes:
-            dist = abl_probabilities(self.target, self.measurements[mi],
-                                     self.zero_tol)
-            if dist[oi] > self.zero_tol:
+            dist = abl_probabilities(self.target, self.measurements[mi])
+            if dist[oi] > DEFAULT_TOL:
                 raise ShapeMismatchError(
                     f"listed zero ({mi}, {oi}) has probability {dist[oi]!r} "
-                    f"> {self.zero_tol!r}"
+                    f"> {DEFAULT_TOL!r}"
                 )
 
     @property
@@ -300,13 +296,13 @@ class ZeroConstraintSystem:
             "num_measurements": len(self.measurements),
             "zero_outcomes": [list(z) for z in self.zero_outcomes],
             "anchor": list(self.anchor),
-            "zero_tol": self.zero_tol,
+            "zero_tol": DEFAULT_TOL,
         }
 
 
-def zero_constraints(target: TwoStateVector, measurements,
-                     tol: float = DEFAULT_TOL) -> ZeroConstraintSystem:
-    """Collect every outcome where the target's ABL probability is <= tol.
+def zero_constraints(target: TwoStateVector,
+                     measurements) -> ZeroConstraintSystem:
+    """Collect every outcome whose target ABL probability is <= DEFAULT_TOL.
 
     The target must form a story with each measurement (NotAStory
     propagates otherwise).  The anchor is the first measurement's
@@ -316,14 +312,14 @@ def zero_constraints(target: TwoStateVector, measurements,
     zeros: list[tuple[int, int]] = []
     anchor_outcome = 0
     for mi, m in enumerate(measurements):
-        dist = abl_probabilities(target, m, tol)
+        dist = abl_probabilities(target, m)
         if mi == 0:
             anchor_outcome = int(np.argmax(dist.probabilities))
         for oi in range(len(dist)):
-            if dist[oi] <= tol:
+            if dist[oi] <= DEFAULT_TOL:
                 zeros.append((mi, oi))
     return ZeroConstraintSystem(
-        target, measurements, tuple(zeros), (0, anchor_outcome), tol
+        target, measurements, tuple(zeros), (0, anchor_outcome)
     )
 
 
@@ -709,7 +705,6 @@ def certify_strict_nonseparability(
     measurements,
     starts: int,
     seed: int,
-    tol: float = DEFAULT_TOL,
 ) -> CertificationReport:
     """Pipeline zero_constraints -> separable_feasibility for a target.
 
@@ -721,11 +716,11 @@ def certify_strict_nonseparability(
     """
     from .core import is_separable
 
-    if is_separable(target, tol):
+    if is_separable(target):
         raise SeparableInputError(
             "target is separable; strict non-separability cannot apply"
         )
-    system = zero_constraints(target, measurements, tol)
+    system = zero_constraints(target, measurements)
     feas = separable_feasibility(system, starts, seed)
     verdict = {
         FeasibilityVerdict.INFEASIBLE_EVIDENCE:

@@ -18,14 +18,15 @@ story* when at least one outcome amplitude is nonzero.  Every story decision
 in the package (ABL, mixtures, time reversal, null-subspace membership, the
 Monte Carlo gates) applies one numerical rule:
 
-    (v, m) forms a story  <=>  max_i |A_i(v)| > tol * ||v|| .
+    (v, m) forms a story  <=>  max_i |A_i(v)| > DEFAULT_TOL * ||v|| ,
 
-For a story the ABL rule (Aharonov, Bergmann & Lebowitz 1964) assigns
-conditional outcome probabilities
+with ||v|| the Hilbert-Schmidt norm.  For a story the ABL rule (Aharonov,
+Bergmann & Lebowitz 1964) assigns conditional outcome probabilities
 
     Prob(i) = |A_i(v)|^2 / sum_j |A_j(v)|^2 .
 
-All predicates are scale-invariant in v.
+Both are scale-invariant in v: rescaling v by any factor from 1e-300 to
+1e300 leaves every verdict, and the probabilities to rounding, unchanged.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
+    _SAFE_RANGE,
+    _array,
     _check_dim,
     _frozen,
     _frozen_real,
+    _norm,
     _square,
     _unchecked,
     matrix_from_json,
@@ -236,6 +240,8 @@ def measurement_from_basis_grouping(
     groups; outcome g gets the projector sum_{j in g} |b_j><b_j|.  A basis
     that is not orthonormal fails the measurement rule on those projectors.
     """
+    if not basis:
+        raise ShapeMismatchError("basis needs at least one vector")
     dim = basis[0].dim
     if len(basis) != dim:
         raise ShapeMismatchError(f"{len(basis)} basis vectors for dim {dim}")
@@ -259,7 +265,7 @@ def measurement_from_observable(matrix) -> Measurement:
     single-outcome measurement {identity}.  The observable must be finite
     and Hermitian within DEFAULT_TOL * max(1, max |entry|).
     """
-    arr = _square(np.asarray(matrix, dtype=np.complex128), "observable")
+    arr = _square(matrix, "observable").astype(np.complex128, copy=False)
     _check_dim(arr.shape[0], "observable")
     scale = max(1.0, float(np.max(np.abs(arr))))
     if not (np.all(np.isfinite(arr)) and np.max(np.abs(arr - arr.conj().T))
@@ -293,24 +299,29 @@ def _amplitudes(stacked: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("kij,ji->k", stacked, matrix)
 
 
-def _story_amplitudes(v: TwoStateVector, m: Measurement,
-                      tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
-    """Outcome amplitudes of (v, m) and whether the pair forms a story,
-    decided by the package's one story rule max_i |A_i| > tol * ||v||."""
+def _story_amplitudes(v: TwoStateVector,
+                      m: Measurement) -> tuple[np.ndarray, bool]:
+    """Outcome amplitudes of (v, m) and whether the pair forms a story
+    by the package's one story rule max_i |A_i| > DEFAULT_TOL * ||v||."""
     amps = outcome_amplitudes(v, m)
-    return amps, float(np.max(np.abs(amps))) > tol * v.hs_norm
+    return amps, float(np.max(np.abs(amps))) > DEFAULT_TOL * v.hs_norm
 
 
 def _abl_distribution(amps: np.ndarray) -> "OutcomeDistribution":
-    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story."""
+    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story;
+    amplitudes whose squares sum outside _SAFE_RANGE are first divided by
+    their norm."""
     weights = np.abs(amps) ** 2
-    return OutcomeDistribution(weights / float(np.sum(weights)))
+    total = float(np.sum(weights))
+    if not _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
+        weights = np.abs(amps / _norm(amps)) ** 2
+        total = float(np.sum(weights))
+    return OutcomeDistribution(weights / total)
 
 
-def forms_story(v: TwoStateVector, m: Measurement,
-                tol: float = DEFAULT_TOL) -> bool:
-    """True iff some outcome amplitude exceeds tol * ||v|| in magnitude."""
-    return _story_amplitudes(v, m, tol)[1]
+def forms_story(v: TwoStateVector, m: Measurement) -> bool:
+    """True iff max_i |A_i| > DEFAULT_TOL * ||v||: the story rule."""
+    return _story_amplitudes(v, m)[1]
 
 
 def _check_weights(components) -> None:
@@ -334,7 +345,7 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_real(np.asarray(self.probabilities, dtype=np.float64))
+        arr = _frozen_real(_array(self.probabilities, "distribution"))
         if arr.ndim != 1:
             raise ShapeMismatchError("distribution must be one-dimensional")
         total = float(np.sum(arr))
@@ -359,14 +370,14 @@ class OutcomeDistribution:
         return [float(p) for p in self.probabilities]
 
 
-def abl_probabilities(v: TwoStateVector, m: Measurement,
-                      tol: float = DEFAULT_TOL) -> OutcomeDistribution:
+def abl_probabilities(v: TwoStateVector,
+                      m: Measurement) -> OutcomeDistribution:
     """Conditional probabilities |A_i|^2 / sum_j |A_j|^2 of the story (v, m).
 
     Raises NotAStory exactly when ``forms_story`` is false, i.e. when every
-    |A_i| is at or below tol * ||v||.
+    |A_i| is at or below DEFAULT_TOL * ||v||.
     """
-    amps, story = _story_amplitudes(v, m, tol)
+    amps, story = _story_amplitudes(v, m)
     if not story:
         raise NotAStoryError(
             "every outcome amplitude vanishes; conditional probabilities "

@@ -7,9 +7,11 @@ story with some two-outcome measurement {|w><w|, 1 - |w><w|}.  Writing
 M = matrix(v) with coefficients a_kl, the witness |w> is found by a
 three-way case analysis, tried in this fixed order:
 
-1. DIAGONAL            some |a_nn| > tol ||v||; witness |n>, amplitude |a_nn|.
-2. ANTISYMMETRIC       M = -M^T within tolerance; witness (|m> + i|n>)/sqrt(2)
-                       for the largest off-diagonal |a_mn|, amplitude |a_mn|.
+1. DIAGONAL            some |a_nn| > DEFAULT_TOL ||v||; witness |n>,
+                       amplitude |a_nn|.
+2. ANTISYMMETRIC       ||M + M^T|| <= DEFAULT_TOL ||v||; witness
+                       (|m> + i|n>)/sqrt(2) for the largest off-diagonal
+                       |a_mn|, amplitude |a_mn|.
 3. SYMMETRIC_OFFDIAG   otherwise; witness (|m> + |n>)/sqrt(2) for the largest
                        |a_mn + a_nm|, amplitude |a_mn + a_nm| / 2.
 
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector, TwoStateVector, _unchecked
+from .core import DEFAULT_TOL, StateVector, TwoStateVector, _norm, _unchecked
 from .errors import KernelDimensionError, NoWitnessError
 from .measurement import Measurement, _amplitudes, forms_story
 
@@ -80,17 +82,16 @@ class StoryCertificate:
         }
 
 
-def find_story_measurement(v: TwoStateVector,
-                           tol: float = DEFAULT_TOL) -> StoryCertificate:
+def find_story_measurement(v: TwoStateVector) -> StoryCertificate:
     """Construct a two-outcome measurement forming a story with ``v``.
 
     Follows the DIAGONAL -> ANTISYMMETRIC -> SYMMETRIC_OFFDIAG exhaustion
     described in the module docstring.  Raises NoWitness only when the
-    selected branch produces an amplitude at or below tol * ||v||, which
-    requires numerically degenerate input near the case boundaries.
+    selected branch produces an amplitude at or below DEFAULT_TOL * ||v||,
+    which requires numerically degenerate input near the case boundaries.
     """
     m_mat = v.matrix
-    floor = tol * v.hs_norm
+    floor = DEFAULT_TOL * v.hs_norm
 
     diag = np.abs(np.diag(m_mat))
     n = int(np.argmax(diag))
@@ -98,7 +99,7 @@ def find_story_measurement(v: TwoStateVector,
         case = StoryCase.DIAGONAL
         witness = StateVector.basis_state(v.dim, n)
     else:
-        antisym = float(np.linalg.norm(m_mat + m_mat.T)) <= floor
+        antisym = _norm(m_mat + m_mat.T) <= floor
         case = (StoryCase.ANTISYMMETRIC if antisym
                 else StoryCase.SYMMETRIC_OFFDIAG)
         off = np.abs(m_mat if antisym else m_mat + m_mat.T)
@@ -121,9 +122,9 @@ def find_story_measurement(v: TwoStateVector,
     return StoryCertificate(case, witness, amplitude)
 
 
-def is_traceless(v: TwoStateVector, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |Tr matrix(v)| <= tol * ||v||."""
-    return abs(np.trace(v.matrix)) <= tol * v.hs_norm
+def is_traceless(v: TwoStateVector) -> bool:
+    """True iff |Tr matrix(v)| <= DEFAULT_TOL * ||v||."""
+    return abs(np.trace(v.matrix)) <= DEFAULT_TOL * v.hs_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +163,11 @@ def null_subspace(m: Measurement) -> NullSubspace:
     return ns
 
 
-def membership_in_null(v: TwoStateVector, ns: NullSubspace,
-                       tol: float = DEFAULT_TOL) -> bool:
+def membership_in_null(v: TwoStateVector, ns: NullSubspace) -> bool:
     """True iff v forms no story with ``ns.measurement``, i.e. iff
-    max_i |Tr(P_i matrix(v))| <= tol * ||v||; the basis is not used."""
+    max_i |Tr(P_i matrix(v))| <= DEFAULT_TOL * ||v||; no basis is used."""
     if v.dim != ns.measurement.dim:
         raise KernelDimensionError(
             f"vector dim {v.dim} != subspace dim {ns.measurement.dim}"
         )
-    return not forms_story(v, ns.measurement, tol)
+    return not forms_story(v, ns.measurement)

@@ -69,6 +69,24 @@ def test_abl_and_story_agree_near_threshold(tmp_path, capsys):
     assert out == "forms story: false\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_abl_and_story_at_scale_1e200(tmp_path, capsys):
+    """qubit_identity scaled by 1e200, whose squared entries overflow,
+    prints what it prints at unit scale."""
+    ws = builtin_workspace()
+    ws.vectors["huge"] = TwoStateVector(
+        1e200 * ws.vector("qubit_identity").matrix)
+    path = tmp_path / "ws.json"
+    ws.dump(path)
+    for command in ("abl", "story"):
+        code, at_scale, _ = run([command, "huge", "computational",
+                                 "--workspace", str(path)], capsys)
+        assert code == 0
+        _, at_unit, _ = run([command, "qubit_identity", "computational"],
+                            capsys)
+        assert at_scale == at_unit
+
+
 def test_unknown_name_exits_1(capsys):
     code, _, err = run(["abl", "nonsense", "diagonal"], capsys)
     assert code == 1
@@ -359,6 +377,14 @@ def test_reproduce_takes_no_workspace(capsys):
     ["nullspace", "computational", "--tol", "1e-9"],
     ["montecarlo", "ket0", "ket1", "diagonal", "--tol", "1e-9"],
     ["validate", "--seed", "1"],
+    # Every rule compares at the constant DEFAULT_TOL; no command takes one.
+    ["abl", "ket0_bra1", "diagonal", "--tol", "1e-9"],
+    ["story", "ket0_bra1", "diagonal", "--tol", "1e-9"],
+    ["find-story", "ket0_bra1", "--tol", "1e-9"],
+    ["distinguish", "ket0_bra1", "classical_qubit", "--tol", "1e-9"],
+    ["feasibility", "qubit_identity", "computational", "--tol", "1e-9"],
+    ["reproduce", "1", "--tol", "1e-9"],
+    ["validate", "--tol", "1e-9"],
 ])
 def test_commands_refuse_flags_they_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:

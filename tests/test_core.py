@@ -1,11 +1,16 @@
 """Core twin-space algebra: constructors, inner product, time reversal,
 Schmidt decomposition, JSON codecs."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinspace
 from twinspace import (
     DimensionMismatchError,
     SchmidtDecomposition,
@@ -49,6 +54,8 @@ def test_state_vector_rejects_non_finite():
 def test_state_vector_rejects_matrix_input():
     with pytest.raises(ShapeMismatchError):
         StateVector(np.eye(2))
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        StateVector([1.0, [0.0, 1.0]])
 
 
 def test_state_vector_is_read_only():
@@ -77,6 +84,8 @@ def test_basis_state():
 def test_two_state_vector_requires_square():
     with pytest.raises(ShapeMismatchError):
         TwoStateVector(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        TwoStateVector([[1.0, 0.0], [0.0]])
 
 
 def test_two_state_vector_rejects_zero():
@@ -272,6 +281,21 @@ def test_is_separable_scale_invariant():
     v = random_two_state(3)
     scaled = TwoStateVector(1e-6j * v.matrix)
     assert is_separable(v) == is_separable(scaled)
+
+
+def test_no_function_takes_a_tolerance():
+    """Every rule compares at the constant DEFAULT_TOL: no function, method
+    or dataclass field of the package is a settable tolerance."""
+    for info in pkgutil.iter_modules(twinspace.__path__):
+        module = importlib.import_module(f"twinspace.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            funcs = ([f for f in vars(obj).values() if inspect.isfunction(f)]
+                     if inspect.isclass(obj) else [obj])
+            for f in filter(inspect.isfunction, funcs):
+                assert not any("tol" in p for p in
+                               inspect.signature(f).parameters), f
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ def test_zero_constraint_system_rejects_false_zero():
             measurements=(COMPUTATIONAL,),
             zero_outcomes=((0, 0),),  # outcome 0 has probability one
             anchor=(0, 0),
-            zero_tol=1e-10,
         )
 
 

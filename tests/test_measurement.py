@@ -29,6 +29,7 @@ from twinspace import (
     abl_probabilities,
     find_story_measurement,
     forms_story,
+    is_traceless,
     measurement_from_basis_grouping,
     measurement_from_observable,
     outcome_amplitudes,
@@ -187,6 +188,20 @@ def test_basis_grouping_rejects_bad_partition():
         measurement_from_basis_grouping(basis, [[0]])
     with pytest.raises(ShapeMismatchError):
         measurement_from_basis_grouping(basis, [[0], []])
+    with pytest.raises(ShapeMismatchError):
+        measurement_from_basis_grouping([], [])
+
+
+def test_ragged_matrices_are_shape_faults():
+    ragged = [[1.0, 0.0], [0.0]]
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        Projector(ragged)
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        validate_measurement([np.diag([1.0, 0.0]), ragged])
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        measurement_from_observable(ragged)
+    with pytest.raises(ShapeMismatchError, match="ragged"):
+        OutcomeDistribution([0.5, [0.5]])
 
 
 def test_observable_spectral_measurement():
@@ -264,14 +279,47 @@ def test_abl_raises_without_story():
         abl_probabilities(E01, COMPUTATIONAL)
 
 
+#: The complex factor and scales from 1e-300 to 1e300; beyond about
+#: 1e154 (and below 1e-154) squared entries overflow (underflow).
+SCALES = [1e-7 - 2e3j, 1e-300, 1e-200, 1e-162, 1e-158, 1e154, 1e200, 1e300]
+#: numpy warns of the overflow before the rule recomputes at a safe scale.
+OVERFLOW_WARNING = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning")
+
+
+@OVERFLOW_WARNING
 def test_abl_scale_invariant():
     rng = np.random.default_rng(5)
-    v = TwoStateVector(rng.standard_normal((3, 3))
-                       + 1j * rng.standard_normal((3, 3)))
-    m = random_measurement(3, 2, 99)
-    base = abl_probabilities(v, m).probabilities
-    scaled = abl_probabilities(TwoStateVector((1e-7 - 2e3j) * v.matrix), m)
-    np.testing.assert_allclose(scaled.probabilities, base, atol=1e-12)
+    for dim, m in ((3, random_measurement(3, 2, 99)), (2, DIAGONAL)):
+        v = TwoStateVector(rng.standard_normal((dim, dim))
+                           + 1j * rng.standard_normal((dim, dim)))
+        base = abl_probabilities(v, m).probabilities
+        for scale in SCALES:
+            scaled = abl_probabilities(TwoStateVector(scale * v.matrix), m)
+            np.testing.assert_allclose(scaled.probabilities, base,
+                                       atol=1e-12, err_msg=f"scale {scale}")
+
+
+@OVERFLOW_WARNING
+def test_story_verdicts_scale_invariant():
+    """forms_story, abl_probabilities, find_story_measurement and
+    is_traceless give the unit-scale verdict at every scale."""
+    for matrix, scale in itertools.product(
+            (np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]),
+            SCALES):
+        v = TwoStateVector(np.asarray(matrix, dtype=complex))
+        s = TwoStateVector(scale * v.matrix)
+        story = forms_story(v, COMPUTATIONAL)
+        assert forms_story(s, COMPUTATIONAL) == story
+        assert is_traceless(s) == is_traceless(v)
+        assert find_story_measurement(s).case is find_story_measurement(v).case
+        if story:
+            np.testing.assert_allclose(
+                abl_probabilities(s, COMPUTATIONAL).probabilities,
+                abl_probabilities(v, COMPUTATIONAL).probabilities, atol=1e-12)
+        else:
+            with pytest.raises(NotAStoryError):
+                abl_probabilities(s, COMPUTATIONAL)
 
 
 def test_distribution_container():

@@ -106,7 +106,7 @@ def test_dimension_one_story():
 def test_find_story_builds_no_measurement(monkeypatch):
     """The certificate amplitude is read off the witness projector alone;
     the measurement is built only when asked for."""
-    def refuse(self, tol):
+    def refuse(self):
         raise AssertionError("find_story_measurement built a Measurement")
 
     v = random_two_state(4)
@@ -254,8 +254,8 @@ def test_storyless_vectors_are_traceless():
         m = random_measurement(3, 2, [70, seed])
         ns = null_subspace(m)
         for b in ns.basis:
-            assert is_traceless(b, tol=1e-9)
-        assert is_traceless(random_null_member(ns), tol=1e-9)
+            assert is_traceless(b)
+        assert is_traceless(random_null_member(ns))
 
 
 def test_membership_dim_mismatch():
