@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,13 +83,16 @@ def _square(matrix, what: str) -> np.ndarray:
 
 def _norm(array: np.ndarray) -> float:
     """2-norm (Frobenius for a matrix) of a finite array at any scale:
-    outside _SAFE_RANGE (numpy warns of an overflow) it is recomputed on
-    the array scaled exactly by the power of two that brings max |entry|
-    into [1/2, 1), and scaled back."""
-    n = float(np.linalg.norm(array))  # inf on overflow, 0 on underflow
-    if _SAFE_RANGE[0] <= n <= _SAFE_RANGE[1]:
-        return n
-    e = math.frexp(float(np.max(np.abs(array))))[1]
+    outside _SAFE_RANGE it is recomputed on the array scaled exactly by the
+    power of two that brings max |entry| into [1/2, 1), and scaled back.
+    A max |entry| above _SAFE_RANGE[1] already puts the norm there, so it
+    is rescaled before the sum of squares can overflow."""
+    peak = float(np.abs(array).max())
+    if peak <= _SAFE_RANGE[1]:
+        n = float(np.linalg.norm(array))  # 0 on underflow
+        if _SAFE_RANGE[0] <= n <= _SAFE_RANGE[1]:
+            return n
+    e = math.frexp(peak)[1]
     return math.ldexp(float(np.linalg.norm(array * math.ldexp(1.0, -e))), e)
 
 
@@ -192,9 +196,9 @@ class TwoStateVector:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def hs_norm(self) -> float:
-        """Hilbert-Schmidt (Frobenius) norm."""
+        """Hilbert-Schmidt (Frobenius) norm, computed once."""
         return _norm(self.matrix)
 
     @classmethod

@@ -10,10 +10,13 @@ post-selected events at all).
 The central question here: can the statistics of a *non-separable*
 two-state vector be replicated by a mixture of separable ones?  Tooling:
 
-* ``replicates_on`` / ``search_distinguishing_measurement`` compare two
-  mixtures outcome-by-outcome over sampled measurements; two distributions
-  agree when their max-norm gap is at most DEFAULT_TOL,
-* ``zero_constraints`` collects the target's zero-probability outcomes,
+* ``replicates_on``, ``search_distinguishing_measurement`` and
+  ``time_reversal_equivalence_check`` apply one gap rule per measurement:
+  0 when neither side forms a story, 1 when exactly one does, otherwise
+  the max-norm gap of the two distributions; the sides are told apart iff
+  the gap exceeds DEFAULT_TOL,
+* ``zero_constraints`` derives a ``ZeroConstraintSystem`` from a target
+  and a measurement family alone: the target's zero-probability outcomes,
   those with ABL probability at most DEFAULT_TOL, each of which forces
   Tr(P Phi) = 0 on every would-be mixture member Phi,
 * ``separable_feasibility`` attacks the resulting bilinear system with a
@@ -29,7 +32,7 @@ only the scripted reduction is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ from .errors import (
 from .measurement import (
     Measurement,
     OutcomeDistribution,
-    _abl_distribution,
+    _abl,
     _check_weights,
     _story_amplitudes,
     abl_probabilities,
@@ -103,6 +106,35 @@ class Mixture:
         }
 
 
+def _statistics(components, m: Measurement) -> np.ndarray | None:
+    """The prior-weighted rule on (weight, vector) components: the convex
+    combination of the ABL distributions of the positive-weight components
+    that form a story with ``m``, prior weights renormalized over them;
+    None when there is no such component."""
+    weights, dists = [], []
+    for w, v in components:
+        if w > 0.0:
+            amps, story = _story_amplitudes(v, m)
+            if story:
+                weights.append(w)
+                dists.append(_abl(amps))
+    if not weights:
+        return None
+    total = sum(weights)
+    return sum((w / total) * d for w, d in zip(weights, dists))
+
+
+def _gap(a, b, m: Measurement) -> float:
+    """The indistinguishability rule on two (weight, vector) component
+    lists: 0.0 when neither side forms a story with ``m``, 1.0 when exactly
+    one does, otherwise the max-norm gap of their prior-weighted
+    statistics.  The sides are told apart iff the gap exceeds DEFAULT_TOL."""
+    sa, sb = _statistics(a, m), _statistics(b, m)
+    if sa is None or sb is None:
+        return float((sa is None) != (sb is None))
+    return float(np.max(np.abs(sa - sb)))
+
+
 def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
     """Conditional outcome distribution of a mixture on one measurement.
 
@@ -112,27 +144,12 @@ def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
     ``montecarlo.simulate_mixture``).  Raises NoStoryInMixture when no
     component (of positive weight) forms a story.
     """
-    weights, dists = [], []
-    for w, v in mix.components:
-        amps, story = _story_amplitudes(v, m)
-        if story:
-            weights.append(w)
-            dists.append(_abl_distribution(amps).probabilities)
-    total = sum(weights)
-    if not weights or total <= 0.0:
+    stats = _statistics(mix.components, m)
+    if stats is None:
         raise NoStoryInMixtureError(
             "no component of positive weight forms a story with the measurement"
         )
-    combined = sum((w / total) * d for w, d in zip(weights, dists))
-    return OutcomeDistribution(combined)
-
-
-def _statistics_or_none(mix: Mixture,
-                        m: Measurement) -> OutcomeDistribution | None:
-    try:
-        return mixture_statistics(mix, m)
-    except NoStoryInMixtureError:
-        return None
+    return OutcomeDistribution(stats)
 
 
 def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
@@ -145,38 +162,18 @@ def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
 
 
 def replicates_on(a: Mixture, b: Mixture, m: Measurement) -> bool:
-    """True iff the two mixtures are indistinguishable on ``m``.
-
-    Both form stories and their distributions agree within DEFAULT_TOL in
-    max norm (absolute), or neither forms a story.
-    """
+    """True iff the two mixtures are indistinguishable on ``m``: their gap
+    (module docstring) is at most DEFAULT_TOL."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    da, db = (_statistics_or_none(x, m) for x in (a, b))
-    if (da is None) != (db is None):
-        return False
-    if da is None:
-        return True
-    return distribution_gap(da, db) <= DEFAULT_TOL
+    return _gap(a.components, b.components, m) <= DEFAULT_TOL
 
 
 def time_reversal_equivalence_check(v: TwoStateVector, measurements) -> bool:
-    """Check that v and its time reversal are indistinguishable.
-
-    For every measurement in the list, the story verdicts of v and
-    time_reverse(v) must agree, and when a story forms the two ABL
-    distributions must agree within DEFAULT_TOL in max norm.
-    """
-    rev = time_reverse(v)
-    for m in measurements:
-        av, sv = _story_amplitudes(v, m)
-        ar, sr = _story_amplitudes(rev, m)
-        if sv != sr:
-            return False
-        if sv and distribution_gap(_abl_distribution(av),
-                                   _abl_distribution(ar)) > DEFAULT_TOL:
-            return False
-    return True
+    """True iff v and its time reversal are indistinguishable, by the gap
+    rule of ``replicates_on``, on every measurement in the list."""
+    fwd, rev = ((1.0, v),), ((1.0, time_reverse(v)),)
+    return all(_gap(fwd, rev, m) <= DEFAULT_TOL for m in measurements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,12 +217,7 @@ def search_distinguishing_measurement(
         raise ShapeMismatchError("trials must be >= 1")
     for t in range(trials):
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
-        da, db = (_statistics_or_none(x, m) for x in (a, b))
-        if (da is None) != (db is None):
-            return SearchResult(m, 1.0, t, trials, seed)
-        if da is None:
-            continue
-        gap = distribution_gap(da, db)
+        gap = _gap(a.components, b.components, m)
         if gap > DEFAULT_TOL:
             return SearchResult(m, gap, t, trials, seed)
     return None
@@ -239,9 +231,11 @@ def search_distinguishing_measurement(
 class ZeroConstraintSystem:
     """Zero-probability outcomes of a target across a measurement family.
 
-    Each ``zero_outcomes`` pair (measurement index, outcome index) has
-    target ABL probability <= DEFAULT_TOL; any mixture member replicating
-    the target must satisfy Tr(P_outcome Phi) = 0 for all of them.  The
+    Derived from ``target`` and ``measurements`` alone, by one ABL pass
+    per measurement (NotAStory or DimensionMismatch propagate).  Each
+    ``zero_outcomes`` pair (measurement index, outcome index) has target
+    ABL probability <= DEFAULT_TOL; any mixture member replicating the
+    target must satisfy Tr(P_outcome Phi) = 0 for all of them.  The
     ``anchor`` pair marks the target's largest-probability outcome of the
     first measurement: a replicating member must keep its amplitude away
     from zero to form a story there.
@@ -249,24 +243,18 @@ class ZeroConstraintSystem:
 
     target: TwoStateVector
     measurements: tuple[Measurement, ...]
-    zero_outcomes: tuple[tuple[int, int], ...]
-    anchor: tuple[int, int]
+    zero_outcomes: tuple[tuple[int, int], ...] = field(init=False)
+    anchor: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         if not self.measurements:
             raise ShapeMismatchError("zero system needs at least one measurement")
-        for m in self.measurements:
-            if m.dim != self.target.dim:
-                raise DimensionMismatchError(
-                    f"measurement dim {m.dim} != target dim {self.target.dim}"
-                )
-        for mi, oi in self.zero_outcomes:
-            dist = abl_probabilities(self.target, self.measurements[mi])
-            if dist[oi] > DEFAULT_TOL:
-                raise ShapeMismatchError(
-                    f"listed zero ({mi}, {oi}) has probability {dist[oi]!r} "
-                    f"> {DEFAULT_TOL!r}"
-                )
+        dists = [abl_probabilities(self.target, m) for m in self.measurements]
+        object.__setattr__(self, "zero_outcomes", tuple(
+            (mi, oi) for mi, dist in enumerate(dists)
+            for oi, p in enumerate(dist) if p <= DEFAULT_TOL))
+        object.__setattr__(self, "anchor", (
+            0, int(np.argmax(dists[0].probabilities))))
 
     @property
     def dim(self) -> int:
@@ -302,25 +290,8 @@ class ZeroConstraintSystem:
 
 def zero_constraints(target: TwoStateVector,
                      measurements) -> ZeroConstraintSystem:
-    """Collect every outcome whose target ABL probability is <= DEFAULT_TOL.
-
-    The target must form a story with each measurement (NotAStory
-    propagates otherwise).  The anchor is the first measurement's
-    largest-probability outcome.
-    """
-    measurements = tuple(measurements)
-    zeros: list[tuple[int, int]] = []
-    anchor_outcome = 0
-    for mi, m in enumerate(measurements):
-        dist = abl_probabilities(target, m)
-        if mi == 0:
-            anchor_outcome = int(np.argmax(dist.probabilities))
-        for oi in range(len(dist)):
-            if dist[oi] <= DEFAULT_TOL:
-                zeros.append((mi, oi))
-    return ZeroConstraintSystem(
-        target, measurements, tuple(zeros), (0, anchor_outcome)
-    )
+    """The zero-constraint system of a target on a measurement family."""
+    return ZeroConstraintSystem(target, tuple(measurements))
 
 
 class FeasibilityVerdict(Enum):
@@ -447,6 +418,8 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     verdict is only credible if blind sampling also finds no
     near-solution.
     """
+    if samples < 1:
+        raise ShapeMismatchError("samples must be >= 1")
     cs = sys.constraint_matrices()
     d = sys.dim
     flat = cs.reshape(-1, d * d)

@@ -66,6 +66,9 @@ from .errors import (
 #: The one absolute tolerance of the measurement rule.
 MEASUREMENT_TOL = DEFAULT_TOL
 
+#: Peak amplitude above which the ABL weights sum above _SAFE_RANGE.
+_SQRT_SAFE_MAX = math.sqrt(_SAFE_RANGE[1])
+
 #: Relative eigenvalue gap that starts a new outcome in
 #: measurement_from_observable.
 _DEGENERACY_TOL = 1e-8
@@ -307,16 +310,21 @@ def _story_amplitudes(v: TwoStateVector,
     return amps, float(np.max(np.abs(amps))) > DEFAULT_TOL * v.hs_norm
 
 
-def _abl_distribution(amps: np.ndarray) -> "OutcomeDistribution":
-    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story;
-    amplitudes whose squares sum outside _SAFE_RANGE are first divided by
-    their norm."""
-    weights = np.abs(amps) ** 2
-    total = float(np.sum(weights))
-    if not _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
-        weights = np.abs(amps / _norm(amps)) ** 2
+def _abl(amps: np.ndarray) -> np.ndarray:
+    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story.
+
+    Amplitudes whose squares sum outside _SAFE_RANGE are first divided by
+    their norm.  A peak |A_i| above _SQRT_SAFE_MAX already puts the sum
+    there, so it is rescued before any square can overflow.
+    """
+    mags = np.abs(amps)
+    if mags.max() <= _SQRT_SAFE_MAX:
+        weights = mags ** 2
         total = float(np.sum(weights))
-    return OutcomeDistribution(weights / total)
+        if _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
+            return weights / total
+    weights = np.abs(amps / _norm(amps)) ** 2
+    return weights / float(np.sum(weights))
 
 
 def forms_story(v: TwoStateVector, m: Measurement) -> bool:
@@ -346,8 +354,9 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         arr = _frozen_real(_array(self.probabilities, "distribution"))
-        if arr.ndim != 1:
-            raise ShapeMismatchError("distribution must be one-dimensional")
+        if arr.ndim != 1 or not arr.size:
+            raise ShapeMismatchError(
+                "distribution must be one-dimensional and nonempty")
         total = float(np.sum(arr))
         if not math.isfinite(total):  # as any NaN or infinite entry makes it
             raise ShapeMismatchError("probabilities must be finite")
@@ -383,7 +392,7 @@ def abl_probabilities(v: TwoStateVector,
             "every outcome amplitude vanishes; conditional probabilities "
             "are undefined"
         )
-    return _abl_distribution(amps)
+    return OutcomeDistribution(_abl(amps))
 
 
 def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:

@@ -32,6 +32,7 @@ be distributed across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,9 @@ def _check_experiment(components, measurement: Measurement,
                     f"{name} state must be normalized (norm = {state.norm!r})")
     if trials < 1:
         raise ShapeMismatchError(f"trials must be >= 1, got {trials}")
-    if not any(forms_story(TwoStateVector.separable(pre, post), measurement)
-               for _, pre, post in comps):
+    if not any(w > 0.0 and forms_story(TwoStateVector.separable(pre, post),
+                                       measurement)
+               for w, pre, post in comps):
         raise NotAStoryError(
             "|pre> (x) <post| forms no story with the measurement; "
             "post-selection would never succeed"
@@ -329,6 +331,9 @@ def _build_validation(counts: np.ndarray, trials: int,
 
 def _validate(exp: PrePostExperiment | MixtureExperiment,
               sigma_bound: float) -> AblValidation:
+    if not 0.0 < sigma_bound < math.inf:
+        raise ShapeMismatchError(
+            f"sigma bound {sigma_bound!r} not in (0, inf)")
     joint = joint_probabilities(exp)
     _check_expected_successes(joint, exp.trials)
     log = _sample(exp)
@@ -344,7 +349,8 @@ def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidat
     successes at the configured trial count (InsufficientTrialsError, a
     ValueError, otherwise).
     Passes iff every outcome frequency deviates by less than
-    ``sigma_bound`` binomial standard errors.
+    ``sigma_bound`` binomial standard errors; a bound that is not finite
+    and positive is refused (ShapeMismatchError).
     """
     return _validate(exp, sigma_bound)
 

@@ -69,10 +69,10 @@ def test_abl_and_story_agree_near_threshold(tmp_path, capsys):
     assert out == "forms story: false\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_abl_and_story_at_scale_1e200(tmp_path, capsys):
-    """qubit_identity scaled by 1e200, whose squared entries overflow,
-    prints what it prints at unit scale."""
+    """qubit_identity scaled by 1e200, whose squared entries would
+    overflow, prints what it prints at unit scale, with no warning."""
     ws = builtin_workspace()
     ws.vectors["huge"] = TwoStateVector(
         1e200 * ws.vector("qubit_identity").matrix)
@@ -213,6 +213,15 @@ def test_montecarlo_insufficient_trials_exits_1(capsys):
     )
     assert code == 1
     assert "100" in err
+
+
+@pytest.mark.parametrize("bound", ["inf", "nan", "0", "-1"])
+def test_montecarlo_meaningless_sigma_bound_exits_1(bound, capsys):
+    code, out, err = run(["montecarlo", "ket0", "ket1", "diagonal",
+                          "--trials", "2000", "--sigma-bound", bound], capsys)
+    assert code == 1
+    assert out == ""
+    assert "sigma bound" in err
 
 
 def test_montecarlo_json_booleans(capsys):

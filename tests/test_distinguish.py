@@ -31,6 +31,7 @@ from twinspace import (
     search_distinguishing_measurement,
     separable_feasibility,
     time_reversal_equivalence_check,
+    time_reverse,
     zero_constraints,
 )
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
@@ -181,6 +182,157 @@ def test_time_reversal_equivalence():
 
 
 # ---------------------------------------------------------------------------
+# One gap rule, checked against an independent numpy reference
+# ---------------------------------------------------------------------------
+
+def reference_gap(a, b, m):
+    """0.0 when neither side forms a story, 1.0 when one does, otherwise
+    the max-norm gap of the prior-weighted statistics of the two sides."""
+    projs = np.array([p.matrix for p in m.projectors])
+
+    def statistics(components):
+        weights, rows = [], []
+        for w, v in components:
+            amps = np.array([np.trace(p @ v.matrix) for p in projs])
+            if w > 0 and np.max(np.abs(amps)) > 1e-10 * np.linalg.norm(v.matrix):
+                weights.append(w)
+                rows.append(np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2))
+        if not weights:
+            return None
+        return np.array(weights) @ np.array(rows) / np.sum(weights)
+
+    sa, sb = statistics(a.components), statistics(b.components)
+    if sa is None or sb is None:
+        return float((sa is None) != (sb is None))
+    return float(np.max(np.abs(sa - sb)))
+
+
+def random_vector(rng, d):
+    return TwoStateVector(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+
+
+def storyless_vector(rng, d, m):
+    """A random vector with every outcome amplitude of ``m`` removed."""
+    x = random_vector(rng, d).matrix
+    for p in m.projectors:
+        x = x - p.matrix * np.trace(p.matrix @ x) / p.rank
+    return TwoStateVector(x)
+
+
+def random_mixture(rng, d, m):
+    """1-4 components, some of zero weight, some forming no story on m
+    (for d = 1 every vector forms a story on the one measurement)."""
+    n = int(rng.integers(1, 5))
+    weights = rng.random(n) * (rng.random(n) < 0.7)
+    if not weights.any():
+        weights[0] = 1.0
+    comps = []
+    for w in weights / weights.sum():
+        storyless = d > 1 and rng.random() < 0.3
+        comps.append((float(w), storyless_vector(rng, d, m) if storyless
+                      else random_vector(rng, d)))
+    return Mixture(tuple(comps))
+
+
+def gap_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 1 + i % 4
+        k = int(rng.integers(1, d + 1))
+        m = random_measurement(d, k, [seed, i])
+        a = random_mixture(rng, d, m)
+        kind = i % 3
+        if kind == 0:    # the same mixture, components in another order
+            b = Mixture(a.components[::-1])
+        elif kind == 1:  # an independent mixture
+            b = random_mixture(rng, d, m)
+        else:            # a story-less point
+            b = Mixture.point(storyless_vector(rng, d, m) if d > 1
+                              else random_vector(rng, d))
+        yield d, k, m, a, b
+
+
+def test_replicates_on_is_the_reference_gap_rule():
+    verdicts = set()
+    for _, _, m, a, b in gap_cases(40, 120):
+        expected = reference_gap(a, b, m) <= 1e-10
+        assert replicates_on(a, b, m) == expected
+        assert replicates_on(b, a, m) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_search_stops_at_first_reference_gap():
+    outcomes_seen = set()
+    for i, (d, k, _, a, b) in enumerate(gap_cases(41, 80)):
+        trials, seed = 4, 100 + i
+        found = search_distinguishing_measurement(a, b, trials, k, seed)
+        expected = None
+        for t in range(trials):
+            gap = reference_gap(a, b, random_measurement(d, k, [seed, t]))
+            if gap > 1e-10:
+                expected = (t, gap)
+                break
+        if expected is None:
+            assert found is None
+            outcomes_seen.add("none")
+            continue
+        assert found is not None
+        assert found.trial_index == expected[0]
+        if expected[1] == 1.0:
+            assert found.gap == 1.0
+            outcomes_seen.add("mismatch")
+        else:
+            assert found.gap == pytest.approx(expected[1], rel=1e-9, abs=1e-12)
+            outcomes_seen.add("gap")
+    assert outcomes_seen == {"none", "mismatch", "gap"}
+
+
+def test_time_reversal_check_is_replicates_on_per_measurement():
+    rng = np.random.default_rng(42)
+    for d in (1, 2, 3, 4):
+        ms = [random_measurement(d, 1 + t % d, [43, d, t]) for t in range(4)]
+        vectors = [random_vector(rng, d), E01 if d == 2 else random_vector(rng, d)]
+        if d > 1:
+            vectors.append(storyless_vector(rng, d, ms[0]))
+        for v in vectors:
+            expected = all(
+                replicates_on(Mixture.point(v), Mixture.point(time_reverse(v)), m)
+                for m in ms)
+            assert time_reversal_equivalence_check(v, ms) == expected
+
+
+@pytest.fixture
+def distribution_builds(monkeypatch):
+    """Counts OutcomeDistribution constructions."""
+    calls = []
+    post_init = OutcomeDistribution.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(OutcomeDistribution, "__post_init__", counting)
+    return calls
+
+
+def test_distributions_built_only_where_returned(distribution_builds):
+    abl_probabilities(E00, DIAGONAL)
+    assert len(distribution_builds) == 1
+    mixture_statistics(CLASSICAL, DIAGONAL)
+    assert len(distribution_builds) == 2
+    replicates_on(Mixture.point(QUBIT_IDENTITY), CLASSICAL, DIAGONAL)
+    assert search_distinguishing_measurement(
+        Mixture.point(QUBIT_IDENTITY), CLASSICAL, 3, 2, 0) is None
+    assert search_distinguishing_measurement(
+        Mixture.point(E00), Mixture.point(E11), 3, 2, 0) is not None
+    assert time_reversal_equivalence_check(QUBIT_IDENTITY,
+                                           [COMPUTATIONAL, DIAGONAL])
+    assert len(distribution_builds) == 2
+
+
+# ---------------------------------------------------------------------------
 # Zero-constraint systems
 # ---------------------------------------------------------------------------
 
@@ -207,14 +359,52 @@ def test_zero_constraints_empty_for_nowhere_zero_target():
     assert system.constraint_matrices().shape == (0, 2, 2)
 
 
-def test_zero_constraint_system_rejects_false_zero():
+def reference_zero_system(target, family):
+    """Zero outcomes (p <= tol) and anchor from numpy ABL values."""
+    dists = []
+    for m in family:
+        amps = np.array([np.trace(p.matrix @ target.matrix)
+                         for p in m.projectors])
+        dists.append(np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2))
+    zeros = tuple((mi, oi) for mi, p in enumerate(dists)
+                  for oi in range(len(p)) if p[oi] <= 1e-10)
+    return zeros, (0, int(np.argmax(dists[0])))
+
+
+def test_zero_system_derived_from_target_and_family():
+    rng = np.random.default_rng(21)
+    cases = [(QUTRIT_SIGNED, FAMILY), (E00, (COMPUTATIONAL, DIAGONAL)),
+             (QUBIT_IDENTITY, (DIAGONAL, COMPUTATIONAL))]
+    for d in (1, 2, 3, 4):
+        v = TwoStateVector(rng.standard_normal((d, d))
+                           + 1j * rng.standard_normal((d, d)))
+        cases.append((v, tuple(random_measurement(d, 1 + t % d, [d, t])
+                               for t in range(3))))
+    for target, family in cases:
+        system = ZeroConstraintSystem(target, family)
+        zeros, anchor = reference_zero_system(target, family)
+        assert system.zero_outcomes == zeros
+        assert system.anchor == anchor
+        assert all(type(i) is int for z in zeros + (anchor,) for i in z)
+        derived = zero_constraints(target, list(family))
+        assert derived.zero_outcomes == zeros
+        assert derived.anchor == anchor
+
+
+@pytest.mark.parametrize("given", [{"zero_outcomes": ((0, 0),)},
+                                   {"anchor": (0, 0)}])
+def test_zero_system_takes_no_listed_zeros_or_anchor(given):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        ZeroConstraintSystem(E00, (COMPUTATIONAL,), **given)
+
+
+def test_zero_system_refusals():
     with pytest.raises(ShapeMismatchError):
-        ZeroConstraintSystem(
-            target=E00,
-            measurements=(COMPUTATIONAL,),
-            zero_outcomes=((0, 0),),  # outcome 0 has probability one
-            anchor=(0, 0),
-        )
+        ZeroConstraintSystem(E00, ())
+    with pytest.raises(DimensionMismatchError):
+        ZeroConstraintSystem(E00, FAMILY)
+    with pytest.raises(NotAStoryError):
+        ZeroConstraintSystem(E01, (DIAGONAL, COMPUTATIONAL))
 
 
 def test_constraint_amplitude_matches_trace_functional():
@@ -274,6 +464,12 @@ def test_feasibility_rejects_zero_starts():
 def test_scan_floor_confirms_infeasibility():
     floor = scan_separable_residual(qutrit_system(), samples=20000, seed=1)
     assert floor > 1e-4
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_scan_refuses_empty_work(samples):
+    with pytest.raises(ShapeMismatchError):
+        scan_separable_residual(qutrit_system(), samples, 1)
 
 
 def test_scan_reaches_zero_on_feasible_system():

@@ -282,12 +282,11 @@ def test_abl_raises_without_story():
 #: The complex factor and scales from 1e-300 to 1e300; beyond about
 #: 1e154 (and below 1e-154) squared entries overflow (underflow).
 SCALES = [1e-7 - 2e3j, 1e-300, 1e-200, 1e-162, 1e-158, 1e154, 1e200, 1e300]
-#: numpy warns of the overflow before the rule recomputes at a safe scale.
-OVERFLOW_WARNING = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning")
+#: The rules rescale before squaring, so no scale makes numpy warn.
+NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-@OVERFLOW_WARNING
+@NO_RUNTIME_WARNING
 def test_abl_scale_invariant():
     rng = np.random.default_rng(5)
     for dim, m in ((3, random_measurement(3, 2, 99)), (2, DIAGONAL)):
@@ -300,7 +299,7 @@ def test_abl_scale_invariant():
                                        atol=1e-12, err_msg=f"scale {scale}")
 
 
-@OVERFLOW_WARNING
+@NO_RUNTIME_WARNING
 def test_story_verdicts_scale_invariant():
     """forms_story, abl_probabilities, find_story_measurement and
     is_traceless give the unit-scale verdict at every scale."""
@@ -336,6 +335,8 @@ def test_distribution_rejects_bad_probabilities():
         OutcomeDistribution([-0.1, 1.1])
     with pytest.raises(ShapeMismatchError):
         OutcomeDistribution([np.nan, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        OutcomeDistribution([])
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,21 @@ def test_experiment_requires_story():
         PrePostExperiment(KET0, KET1, COMPUTATIONAL, 100, 0)
 
 
+def test_mixture_story_gate_counts_only_positive_weights():
+    # only the zero-weight component forms a computational story
+    with pytest.raises(NotAStoryError):
+        MixtureExperiment(((1.0, KET0, KET1), (0.0, PLUS, PLUS)),
+                          COMPUTATIONAL, 20000, 0)
+
+
+def test_zero_weight_component_leaves_prediction_unchanged():
+    alone = PrePostExperiment(KET0, PLUS, DIAGONAL, 20000, 0)
+    padded = MixtureExperiment(((1.0, KET0, PLUS), (0.0, KET1, PLUS)),
+                               DIAGONAL, 20000, 0)
+    np.testing.assert_array_equal(joint_probabilities(padded),
+                                  joint_probabilities(alone))
+
+
 def test_story_vector_is_separable_pair():
     np.testing.assert_allclose(
         GOLDEN.story_vector().matrix,
@@ -338,3 +353,13 @@ def test_mixture_prediction_weights_by_post_selection_success():
         [5.0 / 6.0, 1.0 / 6.0], abs=1e-12)
     assert report.sigma_bound == 4.0
     assert report.passed
+
+
+@pytest.mark.parametrize("bound", [np.inf, np.nan, 0.0, -1.0])
+def test_validation_refuses_meaningless_sigma_bound(bound):
+    with pytest.raises(ShapeMismatchError):
+        validate_abl(GOLDEN, bound)
+    mexp = MixtureExperiment(((0.5, PLUS, PLUS), (0.5, KET0, KET1)),
+                             DIAGONAL, 20000, 0)
+    with pytest.raises(ShapeMismatchError):
+        validate_mixture_abl(mexp, bound)
