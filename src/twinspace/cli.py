@@ -38,10 +38,11 @@ from .errors import (
 )
 from .measurement import abl_probabilities, forms_story, random_measurement
 from .montecarlo import PrePostExperiment, validate_abl
-from .structure import find_story_measurement, null_subspace
+from .structure import NullSubspace, find_story_measurement
 from .workspace import (
     QUTRIT_FAMILY,
     Workspace,
+    _report,
     builtin_workspace,
     validate_workspace_file,
 )
@@ -121,7 +122,7 @@ def cmd_find_story(args) -> int:
 def cmd_nullspace(args) -> int:
     ws = _load_workspace(args)
     m = ws.measurement(args.measurement)
-    ns = null_subspace(m)
+    ns = NullSubspace(m)  # the basis, an SVD, is read only for --json
     if args.json:
         _emit_json({
             "command": "nullspace",
@@ -200,13 +201,9 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.workspace is None:
-        # The bundled workspace is constructed validated; report its names.
-        rows = [(section, name, True, "ok") for section, table
-                in builtin_workspace().to_json_dict().items()
-                for name in sorted(table)]
-    else:
-        rows = validate_workspace_file(args.workspace)
+    rows = (_report(builtin_workspace().to_json_dict())
+            if args.workspace is None
+            else validate_workspace_file(args.workspace))
     ok = all(r[2] for r in rows)
     if args.json:
         _emit_json({

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,6 +110,17 @@ def _check_dim(dim: int, what: str) -> None:
         )
 
 
+def _rng(seed, *keys) -> np.random.Generator:
+    """``np.random.default_rng`` of ``seed``, or of [seed, *keys]: the one
+    seeding path, refusing a seed numpy cannot take as a shape fault."""
+    try:
+        return np.random.default_rng([seed, *keys] if keys else seed)
+    except (TypeError, ValueError) as err:
+        raise ShapeMismatchError(
+            f"seed must be a non-negative integer or a sequence of them, "
+            f"got {seed!r} ({err})") from None
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A vector in the underlying Hilbert space C^dim.
@@ -137,9 +148,10 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """2-norm at any scale, computed once."""
+        return _norm(self.amplitudes)
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
@@ -157,16 +169,11 @@ class StateVector:
         return cls(amps)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "amplitudes": vector_to_json(self.amplitudes)}
+        return {"dim": self.dim, "amplitudes": array_to_json(self.amplitudes)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StateVector":
-        amps = vector_from_json(obj["amplitudes"])
-        if amps.shape[0] != obj["dim"]:
-            raise ShapeMismatchError(
-                f"declared dim {obj['dim']} != amplitude count {amps.shape[0]}"
-            )
-        return cls(amps)
+        return cls(_declared_array(obj, "amplitudes", 1, "state vector"))
 
     def __repr__(self):
         return f"StateVector(dim={self.dim})"
@@ -240,16 +247,11 @@ class TwoStateVector:
         return TwoStateVector(self.matrix / self.hs_norm)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "matrix": matrix_to_json(self.matrix)}
+        return {"dim": self.dim, "matrix": array_to_json(self.matrix)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TwoStateVector":
-        mat = matrix_from_json(obj["matrix"])
-        if mat.shape != (obj["dim"], obj["dim"]):
-            raise ShapeMismatchError(
-                f"declared dim {obj['dim']} != matrix shape {mat.shape}"
-            )
-        return cls(mat)
+        return cls(_declared_array(obj, "matrix", 2, "two-state vector"))
 
     def __repr__(self):
         return f"TwoStateVector(dim={self.dim})"
@@ -324,33 +326,46 @@ def is_separable(v: TwoStateVector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs: complex numbers as [re, im], matrices row-major, exact for
-# finite doubles (Python float repr round-trips bit-for-bit).
+# JSON codec: complex numbers as [re, im], arrays row-major, every bit of
+# every finite double kept (signed zeros included).
 # ---------------------------------------------------------------------------
 
-def complex_to_json(z: complex) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def array_to_json(array: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs: the one writer."""
+    pairs = np.ascontiguousarray(array, dtype=np.complex128)
+    return pairs.view(np.float64).reshape(pairs.shape + (2,)).tolist()
 
-def complex_from_json(pair: Sequence) -> complex:
-    if len(pair) != 2:
-        raise ShapeMismatchError(f"complex entry must be [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
 
-def vector_to_json(vec: np.ndarray) -> list:
-    return [complex_to_json(z) for z in vec]
+def array_from_json(data, ndim: int, what: str) -> np.ndarray:
+    """The complex array of ``ndim`` axes whose entries ``data`` nests as
+    [re, im] pairs: the one reader.  Anything else (ragged nesting,
+    non-numbers, integers beyond a double, pairs of another length, an
+    empty list) is a ShapeMismatchError; non-finite values are left to
+    the value rules."""
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ShapeMismatchError(
+            f"{what} is not a nest of [re, im] pairs: {err}") from None
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise ShapeMismatchError(
+            f"{what} must nest [re, im] pairs {ndim} deep, "
+            f"got shape {pairs.shape}")
+    return pairs.view(np.complex128)[..., 0]
 
-def vector_from_json(entries: Sequence) -> np.ndarray:
-    return np.array([complex_from_json(p) for p in entries], dtype=np.complex128)
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [vector_to_json(row) for row in mat]
-
-def matrix_from_json(rows: Sequence) -> np.ndarray:
-    if not rows:
-        raise ShapeMismatchError("matrix has no rows")
-    data = [vector_from_json(row) for row in rows]
-    widths = {row.shape[0] for row in data}
-    if len(widths) != 1:
-        raise ShapeMismatchError(f"ragged matrix rows, widths {sorted(widths)}")
-    return np.array(data, dtype=np.complex128)
+def _declared_array(obj, key: str, ndim: int, what: str) -> np.ndarray:
+    """The array under ``key`` of a JSON entry, every axis but a stack's
+    first equal to the entry's declared "dim": the one declared-dimension
+    check of the ``from_json`` readers."""
+    try:
+        dim, data = obj["dim"], obj[key]
+    except (KeyError, TypeError):  # a missing key, or not an object
+        raise ShapeMismatchError(
+            f"{what} entry must be an object with keys 'dim' and '{key}'"
+        ) from None
+    arr = array_from_json(data, ndim, what)
+    if any(n != dim for n in arr.shape[-2:]):
+        raise ShapeMismatchError(
+            f"declared dim {dim!r} != {what} shape {arr.shape}")
+    return arr

@@ -38,7 +38,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector, TwoStateVector, time_reverse
+from .core import (
+    DEFAULT_TOL,
+    StateVector,
+    TwoStateVector,
+    _rng,
+    time_reverse,
+)
 from .errors import (
     DimensionMismatchError,
     NoStoryInMixtureError,
@@ -50,7 +56,7 @@ from .measurement import (
     OutcomeDistribution,
     _abl,
     _check_weights,
-    _story_amplitudes,
+    _story_magnitudes,
     abl_probabilities,
     random_measurement,
 )
@@ -98,13 +104,6 @@ class Mixture:
         """The degenerate mixture carrying ``v`` with weight one."""
         return cls(((1.0, v),))
 
-    def to_json(self) -> dict:
-        return {
-            "components": [
-                {"weight": w, "vector": v.to_json()} for w, v in self.components
-            ]
-        }
-
 
 def _statistics(components, m: Measurement) -> np.ndarray | None:
     """The prior-weighted rule on (weight, vector) components: the convex
@@ -114,10 +113,10 @@ def _statistics(components, m: Measurement) -> np.ndarray | None:
     weights, dists = [], []
     for w, v in components:
         if w > 0.0:
-            amps, story = _story_amplitudes(v, m)
+            mags, story = _story_magnitudes(v, m)
             if story:
                 weights.append(w)
-                dists.append(_abl(amps))
+                dists.append(_abl(mags))
     if not weights:
         return None
     total = sum(weights)
@@ -383,7 +382,7 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
     best_value = np.inf
     best_x = None
     for s in range(starts):
-        rng = np.random.default_rng([seed, s])
+        rng = _rng(seed, s)
         x0 = rng.standard_normal(4 * d)
         res = minimize(objective, x0, method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-20, "gtol": 1e-14})
@@ -423,7 +422,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     cs = sys.constraint_matrices()
     d = sys.dim
     flat = cs.reshape(-1, d * d)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     best = np.inf
     remaining = samples
     while remaining > 0:

@@ -44,13 +44,14 @@ from .core import (
     _SAFE_RANGE,
     _array,
     _check_dim,
+    _declared_array,
     _frozen,
     _frozen_real,
     _norm,
+    _rng,
     _square,
     _unchecked,
-    matrix_from_json,
-    matrix_to_json,
+    array_to_json,
 )
 from .errors import (
     DimensionMismatchError,
@@ -194,23 +195,15 @@ class Measurement:
         return cls((np.eye(dim),))
 
     def to_json(self) -> dict:
-        obj = {
-            "dim": self.dim,
-            "projectors": [matrix_to_json(p.matrix) for p in self.projectors],
-        }
+        obj = {"dim": self.dim, "projectors": array_to_json(self._stacked)}
         if self.labels is not None:
             obj["labels"] = list(self.labels)
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measurement":
-        m = cls([matrix_from_json(p) for p in obj["projectors"]],
-                obj["labels"] if "labels" in obj else None)
-        if m.dim != obj["dim"]:
-            raise ShapeMismatchError(
-                f"declared dim {obj['dim']} != projector dim {m.dim}"
-            )
-        return m
+        return cls(_declared_array(obj, "projectors", 3, "projector stack"),
+                   obj.get("labels"))
 
     def __repr__(self):
         return f"Measurement(dim={self.dim}, outcomes={self.num_outcomes})"
@@ -302,34 +295,35 @@ def _amplitudes(stacked: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("kij,ji->k", stacked, matrix)
 
 
-def _story_amplitudes(v: TwoStateVector,
+def _story_magnitudes(v: TwoStateVector,
                       m: Measurement) -> tuple[np.ndarray, bool]:
-    """Outcome amplitudes of (v, m) and whether the pair forms a story
-    by the package's one story rule max_i |A_i| > DEFAULT_TOL * ||v||."""
-    amps = outcome_amplitudes(v, m)
-    return amps, float(np.max(np.abs(amps))) > DEFAULT_TOL * v.hs_norm
+    """Outcome amplitude magnitudes |A_i| of (v, m) and whether the pair
+    forms a story by the package's one story rule
+    max_i |A_i| > DEFAULT_TOL * ||v||."""
+    mags = np.abs(outcome_amplitudes(v, m))
+    return mags, float(mags.max()) > DEFAULT_TOL * v.hs_norm
 
 
-def _abl(amps: np.ndarray) -> np.ndarray:
-    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitudes of a story.
+def _abl(mags: np.ndarray) -> np.ndarray:
+    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitude magnitudes of
+    a story.
 
-    Amplitudes whose squares sum outside _SAFE_RANGE are first divided by
+    Magnitudes whose squares sum outside _SAFE_RANGE are first divided by
     their norm.  A peak |A_i| above _SQRT_SAFE_MAX already puts the sum
     there, so it is rescued before any square can overflow.
     """
-    mags = np.abs(amps)
     if mags.max() <= _SQRT_SAFE_MAX:
         weights = mags ** 2
         total = float(np.sum(weights))
         if _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
             return weights / total
-    weights = np.abs(amps / _norm(amps)) ** 2
+    weights = (mags / _norm(mags)) ** 2
     return weights / float(np.sum(weights))
 
 
 def forms_story(v: TwoStateVector, m: Measurement) -> bool:
     """True iff max_i |A_i| > DEFAULT_TOL * ||v||: the story rule."""
-    return _story_amplitudes(v, m)[1]
+    return _story_magnitudes(v, m)[1]
 
 
 def _check_weights(components) -> None:
@@ -386,13 +380,13 @@ def abl_probabilities(v: TwoStateVector,
     Raises NotAStory exactly when ``forms_story`` is false, i.e. when every
     |A_i| is at or below DEFAULT_TOL * ||v||.
     """
-    amps, story = _story_amplitudes(v, m)
+    mags, story = _story_magnitudes(v, m)
     if not story:
         raise NotAStoryError(
             "every outcome amplitude vanishes; conditional probabilities "
             "are undefined"
         )
-    return OutcomeDistribution(_abl(amps))
+    return OutcomeDistribution(_abl(mags))
 
 
 def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:
@@ -408,7 +402,7 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
             f"num_outcomes must lie in [1, {dim}], got {num_outcomes}"
         )
     _check_dim(dim, "measurement")  # before the d x d draws
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     phases = np.diag(r) / np.abs(np.diag(r))

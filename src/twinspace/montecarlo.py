@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, TwoStateVector
+from .core import StateVector, TwoStateVector, _rng
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -49,7 +49,7 @@ from .measurement import (
     Measurement,
     OutcomeDistribution,
     _check_weights,
-    _story_amplitudes,
+    _story_magnitudes,
     forms_story,
 )
 
@@ -136,13 +136,6 @@ class TrialLog:
     def successes(self) -> int:
         return int(self.outcome_counts.sum())
 
-    def to_json(self) -> dict:
-        return {
-            "outcome_counts": [int(c) for c in self.outcome_counts],
-            "trials": self.trials,
-            "successes": self.successes,
-        }
-
 
 def merge_logs(a: TrialLog, b: TrialLog) -> TrialLog:
     """Combine shard results by addition."""
@@ -169,10 +162,10 @@ def joint_probabilities(exp: PrePostExperiment) -> np.ndarray:
     """Per-outcome probability of (outcome AND successful post-selection)."""
     joint = np.zeros(exp.measurement.num_outcomes)
     for w, pre, post in exp.components:
-        amps, story = _story_amplitudes(TwoStateVector.separable(pre, post),
+        mags, story = _story_magnitudes(TwoStateVector.separable(pre, post),
                                         exp.measurement)
         if story:
-            joint += w * np.abs(amps) ** 2
+            joint += w * mags ** 2
     return joint
 
 
@@ -184,7 +177,7 @@ def success_probability(exp: PrePostExperiment) -> float:
 def _simulate_blocks(seed: int, trials: int, draw_block) -> np.ndarray:
     counts = 0
     for block, offset in enumerate(range(0, trials, BLOCK_SIZE)):
-        rng = np.random.default_rng([seed, block])
+        rng = _rng(seed, block)
         counts = counts + draw_block(rng, min(BLOCK_SIZE, trials - offset))
     return counts
 

@@ -114,13 +114,6 @@ class Workspace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Workspace":
-        if not isinstance(obj, dict):
-            raise WorkspaceError("workspace document must be a JSON object")
-        unknown = set(obj) - set(_SECTIONS)
-        if unknown:
-            raise WorkspaceError(
-                f"unknown workspace sections: {sorted(unknown)}"
-            )
         tables: dict[str, dict] = {section: {} for section in _SECTIONS}
         for section, name, value, err in _parse_entries(obj):
             if err is not None:
@@ -152,10 +145,18 @@ _PARSERS = {"states": StateVector.from_json,
             "measurements": Measurement.from_json}
 
 
-def _parse_entries(obj: dict):
-    """Yield (section, name, value, error) per entry, names sorted; the one
-    parse path behind loading and validating.  Mixture values are their
-    (weight, vector name) refs, resolved against the vectors that parsed."""
+def _parse_entries(obj):
+    """Yield (section, name, value, error) rows: first the document's own
+    faults (not an object; each unknown section), then one per entry,
+    names sorted.  The one parse path behind loading and validating.
+    Mixture values are their (weight, vector name) refs, resolved against
+    the vectors that parsed."""
+    if not isinstance(obj, dict):
+        yield "workspace", "", None, WorkspaceError(
+            "document must be a JSON object")
+        return
+    for section in sorted(set(obj) - set(_SECTIONS)):
+        yield section, "", None, WorkspaceError("unknown section")
     vectors: dict[str, TwoStateVector] = {}
     for section in _SECTIONS:
         table = obj.get(section, {})
@@ -187,15 +188,15 @@ def validate_workspace_file(path) -> list[tuple[str, str, bool, str]]:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         return [("workspace", str(path), False, str(err))]
-    if not isinstance(obj, dict):
-        return [("workspace", str(path), False, "document must be an object")]
-    report = [(section, "", False, "unknown section")
-              for section in sorted(set(obj) - set(_SECTIONS))]
-    for section, name, _, err in _parse_entries(obj):
-        msg = ("ok" if err is None else str(err) if section == "mixtures"
-               else f"{type(err).__name__}: {err}")
-        report.append((section, name, err is None, msg))
-    return report
+    return _report(obj)
+
+
+def _report(obj) -> list[tuple[str, str, bool, str]]:
+    """The (section, name, ok, message) rows of a decoded document."""
+    return [(section, name, err is None,
+             "ok" if err is None else str(err) if section == "mixtures"
+             else f"{type(err).__name__}: {err}")
+            for section, name, _, err in _parse_entries(obj)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from twinspace import TwoStateVector
 from twinspace.cli import main
-from twinspace.workspace import builtin_workspace
+from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 
 def run(argv, capsys):
@@ -138,6 +138,28 @@ def test_nullspace_command(capsys):
     assert "4 - 2 = 2" in out
 
 
+#: SHA-256 of ``nullspace diagonal --json``.
+NULLSPACE_DIAGONAL_SHA256 = (
+    "7fdd9c96684a4e2e4d50e5b34896129bd6bbb2571c5a2e9e369c8e341e8ae915")
+
+
+def test_plain_nullspace_computes_no_basis(capsys, monkeypatch):
+    """The dimension is d^2 - k by law; only --json reads the basis."""
+    code, out, _ = run(["nullspace", "diagonal", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NULLSPACE_DIAGONAL_SHA256
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("null-space SVD reached")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    code, out, _ = run(["nullspace", "diagonal"], capsys)
+    assert code == 0
+    assert out == ("dim^2 - outcomes = 4 - 2 = 2\n"
+                   "basis: 2 orthonormal two-state vectors "
+                   "(use --json for entries)\n")
+
+
 # ---------------------------------------------------------------------------
 # distinguish / feasibility
 # ---------------------------------------------------------------------------
@@ -237,6 +259,33 @@ def test_validate_builtin(capsys):
     code, out, _ = run(["validate"], capsys)
     assert code == 0
     assert "workspace valid" in out
+
+
+#: SHA-256 of ``validate`` and ``validate --json`` on the bundled inventory.
+VALIDATE_SHA256 = {
+    False: "3e56070b07fc88901a922a3b78b0a1f8c9e24751c79f9532e47d13a244afc340",
+    True: "de045523669fea8ead013c0d5e4bc4640f84f1f52edb38ced18db2927a749af9",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_validate_builtin_parses_every_entry(as_json, capsys, monkeypatch):
+    """Without --workspace, validate parses the bundled inventory's
+    document through the entry parser, with unchanged output."""
+    from twinspace import workspace
+    ws = builtin_workspace()
+    calls = []
+    for section, parse in list(workspace._PARSERS.items()):
+        def counting(entry, parse=parse, section=section):
+            calls.append(section)
+            return parse(entry)
+        monkeypatch.setitem(workspace._PARSERS, section, counting)
+    code, out, _ = run(["validate"] + ["--json"] * as_json, capsys)
+    assert code == 0
+    assert sorted(calls) == sorted(
+        ["states"] * len(ws.states) + ["vectors"] * len(ws.vectors)
+        + ["measurements"] * len(ws.measurements))
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_SHA256[as_json]
 
 
 def test_validate_refuses_zero_projector(tmp_path, capsys):
@@ -399,6 +448,20 @@ def test_commands_refuse_flags_they_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "ket0_bra1", "classical_qubit", "--trials", "5"],
+    ["montecarlo", "ket0", "plus", "diagonal", "--trials", "1000"],
+    ["feasibility", "qutrit_signed", *QUTRIT_FAMILY, "--starts", "2"],
+    ["reproduce", "1"],
+])
+def test_negative_seed_is_an_input_error(argv, capsys):
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "-1" in err
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])

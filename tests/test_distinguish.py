@@ -563,3 +563,25 @@ def test_certify_qutrit_signed_strict():
     assert report.verdict is CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE
     assert report.system.zero_outcomes == ((0, 1), (1, 1), (2, 1), (3, 1))
     assert "strictly non-separable" in report.message
+
+
+def test_refuses_a_seed_numpy_cannot_take():
+    """A negative seed is a ShapeMismatchError naming it, on every seeded
+    path, before any descent or sample runs."""
+    system = qutrit_system()
+    for call in (lambda: separable_feasibility(system, 2, -1),
+                 lambda: scan_separable_residual(system, 10, -1),
+                 lambda: search_distinguishing_measurement(
+                     Mixture.point(E01), CLASSICAL, 5, 2, -1)):
+        with pytest.raises(ShapeMismatchError, match="seed.*-1"):
+            call()
+
+
+def test_valid_seeds_draw_the_same_streams():
+    """The seeding path hands numpy the seed material unchanged."""
+    from twinspace.core import _rng
+    for seed, keys in ((0, ()), (7, (3,)), ([7, 3], ()), (2 ** 70, (1, 2))):
+        material = [seed, *keys] if keys else seed
+        np.testing.assert_array_equal(
+            _rng(seed, *keys).random(4),
+            np.random.default_rng(material).random(4))

@@ -36,7 +36,7 @@ from twinspace import (
     random_measurement,
     validate_measurement,
 )
-from twinspace.core import matrix_to_json
+from twinspace.core import array_to_json as matrix_to_json
 from twinspace.workspace import builtin_workspace
 
 S = 2.0 ** -0.5
@@ -319,6 +319,44 @@ def test_story_verdicts_scale_invariant():
         else:
             with pytest.raises(NotAStoryError):
                 abl_probabilities(s, COMPUTATIONAL)
+
+
+@NO_RUNTIME_WARNING
+def test_state_norm_is_scale_safe():
+    """StateVector.norm, normalized and Projector.onto_state hold where
+    the sum of squares overflows or underflows; inside the safe range the
+    norm is numpy's, bit for bit."""
+    assert StateVector([1e200, 1e200]).norm == pytest.approx(
+        2.0 ** 0.5 * 1e200, rel=1e-15)
+    for amps in ([1e200, 1e200], [1e-200, 0.0], [1e-300j, 3e-300]):
+        assert StateVector.normalized(amps).norm == pytest.approx(
+            1.0, abs=1e-15)
+    np.testing.assert_array_equal(
+        Projector.onto_state(StateVector([1e200, 0.0])).matrix,
+        np.diag([1.0, 0.0]))
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 5, MAX_DIM):
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert StateVector(amps).norm == float(np.linalg.norm(amps))
+
+
+def test_abl_matches_the_plain_rule_bit_for_bit():
+    """Inside the safe range the ABL rule is |A_i|^2 / sum_j |A_j|^2 on
+    the complex amplitudes, to the last bit."""
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3, 8):
+        m = random_measurement(dim, dim, [9, dim])
+        v = TwoStateVector(rng.standard_normal((dim, dim))
+                           + 1j * rng.standard_normal((dim, dim)))
+        weights = np.abs(outcome_amplitudes(v, m)) ** 2
+        np.testing.assert_array_equal(abl_probabilities(v, m).probabilities,
+                                      weights / float(np.sum(weights)))
+
+
+@pytest.mark.parametrize("seed", [-1, [-1, 0], [3, -2], 1.5])
+def test_random_measurement_refuses_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ShapeMismatchError, match="seed"):
+        random_measurement(2, 2, seed)
 
 
 def test_distribution_container():

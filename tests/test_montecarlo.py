@@ -363,3 +363,9 @@ def test_validation_refuses_meaningless_sigma_bound(bound):
                              DIAGONAL, 20000, 0)
     with pytest.raises(ShapeMismatchError):
         validate_mixture_abl(mexp, bound)
+
+
+def test_simulation_refuses_a_negative_seed():
+    exp = PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=-1)
+    with pytest.raises(ShapeMismatchError, match="seed.*-1"):
+        simulate(exp)

@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from twinspace import TwoStateVector, Workspace, builtin_workspace
-from twinspace.errors import WorkspaceError
+from twinspace import (
+    Measurement,
+    StateVector,
+    TwoStateVector,
+    Workspace,
+    builtin_workspace,
+    errors,
+)
+from twinspace.errors import TwinspaceError, WorkspaceError
 from twinspace.workspace import QUTRIT_FAMILY, validate_workspace_file
 
 
@@ -165,3 +172,133 @@ def test_load_and_validate_share_one_parse_path(tmp_path):
     assert str(exc.value) == (
         "vector 'zero': "
         + messages[("vectors", "zero")].removeprefix("ZeroVectorError: "))
+
+
+# ---------------------------------------------------------------------------
+# One codec: malformed entries are refused as library errors
+# ---------------------------------------------------------------------------
+
+#: A valid entry per parsed section and the key holding its array.
+VALID_ENTRIES = {
+    "states": (StateVector, "amplitudes",
+               StateVector([0.6, 0.8j]).to_json()),
+    "vectors": (TwoStateVector, "matrix",
+                TwoStateVector(np.eye(2)).to_json()),
+    "measurements": (Measurement, "projectors",
+                     builtin_workspace().measurement("diagonal").to_json()),
+}
+
+
+def _first_pair_parent(nest):
+    """The innermost list that holds the first [re, im] pair."""
+    while isinstance(nest[0][0], list):
+        nest = nest[0]
+    return nest
+
+
+def _with_first_pair(value):
+    def bad(pairs):
+        nest = pairs.tolist()
+        _first_pair_parent(nest)[0] = value
+        return nest
+    return bad
+
+
+def _first_row_short(pairs):
+    nest = pairs.tolist()
+    _first_pair_parent(nest).pop()
+    return nest
+
+
+#: Replacements for an entry's array, as functions of its (..., 2) pairs.
+MALFORMED = {
+    "pair of length 1": lambda a: a[..., :1].tolist(),
+    "pair of length 3": lambda a: np.concatenate(
+        [a, a[..., :1]], axis=-1).tolist(),
+    "plain numbers": lambda a: a[..., 0].tolist(),
+    "x in a pair": _with_first_pair(["x", 0.0]),
+    "x as an entry": _with_first_pair("x"),
+    "null as an entry": _with_first_pair(None),
+    "null in a pair": _with_first_pair([None, 0.0]),
+    "dict as an entry": _with_first_pair({"re": 1.0, "im": 0.0}),
+    "integer beyond a double": _with_first_pair([10 ** 400, 0]),
+    "empty list": lambda a: [],
+    "one nesting level too many": lambda a: a[..., np.newaxis, :].tolist(),
+    "ragged rows": _first_row_short,
+    "non-square": lambda a: np.concatenate(
+        [a, a[..., :1, :]], axis=-2).tolist(),
+}
+
+
+def _malformed(section, case):
+    """The valid entry of ``section`` with its array replaced per ``case``,
+    or without that key, or not an object at all."""
+    _, key, entry = VALID_ENTRIES[section]
+    entry = json.loads(json.dumps(entry))
+    if case == "missing key":
+        del entry[key]
+        return entry
+    if case == "entry not an object":
+        return entry[key]
+    entry[key] = MALFORMED[case](np.array(entry[key], dtype=float))
+    return entry
+
+
+@pytest.mark.parametrize("case",
+                         [*MALFORMED, "missing key", "entry not an object"])
+@pytest.mark.parametrize("section", sorted(VALID_ENTRIES))
+def test_malformed_entry_is_refused_as_a_library_error(section, case,
+                                                       tmp_path):
+    cls = VALID_ENTRIES[section][0]
+    entry = _malformed(section, case)
+    with pytest.raises(TwinspaceError):
+        cls.from_json(entry)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({section: {"bad": entry}}))
+    [row] = validate_workspace_file(path)
+    assert row[:3] == (section, "bad", False)
+    kind = row[3].split(":")[0]
+    assert issubclass(getattr(errors, kind), TwinspaceError)
+    with pytest.raises(WorkspaceError, match=f"{section[:-1]} 'bad': "):
+        Workspace.load(path)
+
+
+def test_signed_zeros_survive_load_and_dump():
+    """Both codecs copy every bit, so -0.0 parts round-trip byte-exactly."""
+    doc = {
+        "states": {"s": {"dim": 2,
+                         "amplitudes": [[-0.0, -0.0], [1.0, -0.0]]}},
+        "vectors": {"v": {"dim": 2, "matrix": [[[0.5, -0.0], [-0.0, 0.0]],
+                                               [[0.0, -0.0], [-0.5, -0.0]]]}},
+        "measurements": {"m": {"dim": 2, "projectors": [
+            [[[0.5, -0.0], [0.5, 0.0]], [[0.5, -0.0], [0.5, -0.0]]],
+            [[[0.5, 0.0], [-0.5, -0.0]], [[-0.5, 0.0], [0.5, -0.0]]]]}},
+    }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert Workspace.loads(text).dumps() == text
+
+
+@pytest.mark.parametrize("text, section", [
+    ("[1, 2]", "workspace"),
+    ('{"spam": {}}', "spam"),
+    ('{"states": {}, "spam": {"a": 1}}', "spam"),
+])
+def test_document_faults_read_alike(text, section, tmp_path):
+    """Loading refuses a document fault with the message validation
+    reports for it."""
+    path = tmp_path / "ws.json"
+    path.write_text(text)
+    [row] = validate_workspace_file(path)
+    assert row[:3] == (section, "", False)
+    with pytest.raises(WorkspaceError) as exc:
+        Workspace.loads(text)
+    assert str(exc.value) == (
+        f"{section}: " + row[3].removeprefix("WorkspaceError: "))
+
+
+def test_every_unknown_section_is_reported(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text('{"spam": {}, "eggs": {}, "states": {}}')
+    assert validate_workspace_file(path) == [
+        ("eggs", "", False, "WorkspaceError: unknown section"),
+        ("spam", "", False, "WorkspaceError: unknown section")]
