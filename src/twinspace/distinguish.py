@@ -1,11 +1,13 @@
 r"""Mixtures, indistinguishability, and evidence of strict non-separability.
 
 A statistical mixture of two-state vectors assigns classical weights to
-component vectors; its conditional outcome statistics on a measurement are
-the weight-convex combination of the component ABL distributions, with
-weights renormalized over the components that actually form a story (a
-component inside the measurement's null subspace contributes no
-post-selected events at all).
+component vectors.  Its conditional outcome statistics on a measurement
+come from the one per-component pass of ``measurement``, whose rows are the
+positive-weight components that form a story (one inside the measurement's
+null subspace contributes no post-selected events at all): the
+prior-weighted rule sum_c (w_c / sum w) ABL(v_c) over the rows.  The
+Monte Carlo sampler reads the same rows; sampling its pairs at
+u_c = w_c / sum_j |A_j(v_c)|^2 (normalized) reproduces these statistics.
 
 The central question here: can the statistics of a *non-separable*
 two-state vector be replicated by a mixture of separable ones?  Tooling:
@@ -16,9 +18,9 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
   the max-norm gap of the two distributions; the sides are told apart iff
   the gap exceeds DEFAULT_TOL,
 * ``zero_constraints`` derives a ``ZeroConstraintSystem`` from a target
-  and a measurement family alone: the target's zero-probability outcomes,
-  those with ABL probability at most DEFAULT_TOL, each of which forces
-  Tr(P Phi) = 0 on every would-be mixture member Phi,
+  and a measurement family alone: the target's zero outcomes, those the
+  story rule counts as zero (|A_i| <= DEFAULT_TOL * ||target||), each of
+  which forces Tr(P Phi) = 0 on every would-be mixture member Phi,
 * ``separable_feasibility`` attacks the resulting bilinear system with a
   seeded multi-start local descent over unit vectors alpha, beta
   (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), three-valued verdict,
@@ -56,8 +58,8 @@ from .measurement import (
     OutcomeDistribution,
     _abl,
     _check_weights,
-    _story_magnitudes,
-    abl_probabilities,
+    _required_story,
+    _story_rows,
     random_measurement,
 )
 
@@ -106,21 +108,14 @@ class Mixture:
 
 
 def _statistics(components, m: Measurement) -> np.ndarray | None:
-    """The prior-weighted rule on (weight, vector) components: the convex
-    combination of the ABL distributions of the positive-weight components
-    that form a story with ``m``, prior weights renormalized over them;
-    None when there is no such component."""
-    weights, dists = [], []
-    for w, v in components:
-        if w > 0.0:
-            mags, story = _story_magnitudes(v, m)
-            if story:
-                weights.append(w)
-                dists.append(_abl(mags))
-    if not weights:
+    """The prior-weighted rule on the story rows of (weight, vector)
+    components: sum_c (w_c / sum w) * ABL(v_c) over the rows, None when
+    there are none."""
+    rows = _story_rows(components, m)
+    if not rows:
         return None
-    total = sum(weights)
-    return sum((w / total) * d for w, d in zip(weights, dists))
+    total = sum(w for _, w, _ in rows)
+    return sum((w / total) * _abl(mags) for _, w, mags in rows)
 
 
 def _gap(a, b, m: Measurement) -> float:
@@ -230,14 +225,15 @@ def search_distinguishing_measurement(
 class ZeroConstraintSystem:
     """Zero-probability outcomes of a target across a measurement family.
 
-    Derived from ``target`` and ``measurements`` alone, by one ABL pass
-    per measurement (NotAStory or DimensionMismatch propagate).  Each
-    ``zero_outcomes`` pair (measurement index, outcome index) has target
-    ABL probability <= DEFAULT_TOL; any mixture member replicating the
-    target must satisfy Tr(P_outcome Phi) = 0 for all of them.  The
-    ``anchor`` pair marks the target's largest-probability outcome of the
-    first measurement: a replicating member must keep its amplitude away
-    from zero to form a story there.
+    Derived from ``target`` and ``measurements`` alone, by one pass of
+    the story rule per measurement (NotAStory when the target forms no
+    story with one; DimensionMismatch propagates).  Each ``zero_outcomes``
+    pair (measurement index, outcome index) is an outcome the story rule
+    counts as zero, |A_i(target)| <= DEFAULT_TOL * ||target||; any mixture
+    member replicating the target must satisfy Tr(P_outcome Phi) = 0 for
+    all of them.  The ``anchor`` pair marks the target's largest-amplitude
+    outcome of the first measurement: a replicating member must keep its
+    amplitude away from zero to form a story there.
     """
 
     target: TwoStateVector
@@ -248,12 +244,12 @@ class ZeroConstraintSystem:
     def __post_init__(self):
         if not self.measurements:
             raise ShapeMismatchError("zero system needs at least one measurement")
-        dists = [abl_probabilities(self.target, m) for m in self.measurements]
+        mags = [_required_story(self.target, m) for m in self.measurements]
+        floor = DEFAULT_TOL * self.target.hs_norm
         object.__setattr__(self, "zero_outcomes", tuple(
-            (mi, oi) for mi, dist in enumerate(dists)
-            for oi, p in enumerate(dist) if p <= DEFAULT_TOL))
-        object.__setattr__(self, "anchor", (
-            0, int(np.argmax(dists[0].probabilities))))
+            (mi, oi) for mi, a in enumerate(mags)
+            for oi, ai in enumerate(a) if ai <= floor))
+        object.__setattr__(self, "anchor", (0, int(np.argmax(mags[0]))))
 
     @property
     def dim(self) -> int:
@@ -265,13 +261,10 @@ class ZeroConstraintSystem:
         For Phi = (sum alpha_k |k>) (x) (sum beta_l <l|) the matrix of the
         zero outcome's projector enters transposed.
         """
-        d = self.dim
-        if not self.zero_outcomes:
-            return np.zeros((0, d, d), dtype=np.complex128)
-        return np.stack([
-            self.measurements[mi].projectors[oi].matrix.T
-            for mi, oi in self.zero_outcomes
-        ])
+        d = self.dim  # reshaped so that no zero outcome gives (0, d, d)
+        return np.array([self.measurements[mi].projectors[oi].matrix.T
+                         for mi, oi in self.zero_outcomes],
+                        dtype=np.complex128).reshape(-1, d, d)
 
     def anchor_matrix(self) -> np.ndarray:
         mi, oi = self.anchor
@@ -647,7 +640,8 @@ _CERT_MESSAGES = {
     CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE:
         "strictly non-separable (evidence via this measurement family)",
     CertificationVerdict.NOT_CERTIFIED:
-        "not certified; a replicating separable family exists for this family",
+        "not certified; one separable vector meets every zero constraint "
+        "with its anchor amplitude at or above the floor",
     CertificationVerdict.INCONCLUSIVE:
         "inconclusive; residual fell between the decision bands",
 }

@@ -171,6 +171,10 @@ class Measurement:
         if _first_failure(stack.sum(axis=0) - np.eye(dim)) is not None:
             raise NotCompleteError("projectors do not sum to the identity")
         if self.labels is not None:
+            if isinstance(self.labels, str) or not isinstance(self.labels,
+                                                              Sequence):
+                raise ShapeMismatchError(
+                    f"labels must be a sequence of names, got {self.labels!r}")
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != len(projs):
                 raise ShapeMismatchError(
@@ -291,8 +295,9 @@ def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
 
 
 def _amplitudes(stacked: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Tr(P_i M) for each P_i of a (k, d, d) stack: the one amplitude sum."""
-    return np.einsum("kij,ji->k", stacked, matrix)
+    """Tr(P_i M) for each P_i of a (k, d, d) stack, over any leading axes of
+    M: the one amplitude sum."""
+    return np.einsum("kij,...ji->...k", stacked, matrix)
 
 
 def _story_magnitudes(v: TwoStateVector,
@@ -302,6 +307,28 @@ def _story_magnitudes(v: TwoStateVector,
     max_i |A_i| > DEFAULT_TOL * ||v||."""
     mags = np.abs(outcome_amplitudes(v, m))
     return mags, float(mags.max()) > DEFAULT_TOL * v.hs_norm
+
+
+def _required_story(v: TwoStateVector, m: Measurement) -> np.ndarray:
+    """|A_i| of the story (v, m); NotAStory when the pair forms none."""
+    mags, story = _story_magnitudes(v, m)
+    if not story:
+        raise NotAStoryError("every outcome amplitude vanishes; conditional "
+                             "probabilities are undefined")
+    return mags
+
+
+def _story_rows(components, m: Measurement) -> list:
+    """The one per-component pass: (index, weight, |A_i|) for each
+    positive-weight (weight, vector) component that forms a story with
+    ``m``, in component order.  Both mixture rules read only these rows."""
+    rows = []
+    for c, (w, v) in enumerate(components):
+        if w > 0.0:
+            mags, story = _story_magnitudes(v, m)
+            if story:
+                rows.append((c, w, mags))
+    return rows
 
 
 def _abl(mags: np.ndarray) -> np.ndarray:
@@ -380,13 +407,7 @@ def abl_probabilities(v: TwoStateVector,
     Raises NotAStory exactly when ``forms_story`` is false, i.e. when every
     |A_i| is at or below DEFAULT_TOL * ||v||.
     """
-    mags, story = _story_magnitudes(v, m)
-    if not story:
-        raise NotAStoryError(
-            "every outcome amplitude vanishes; conditional probabilities "
-            "are undefined"
-        )
-    return OutcomeDistribution(_abl(mags))
+    return OutcomeDistribution(_abl(_required_story(v, m)))
 
 
 def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:

@@ -3,24 +3,24 @@ r"""Operational validation of the ABL rule by Born-rule simulation.
 A separable two-state vector |pre> (x) <post| has a direct laboratory
 reading: prepare ``pre``, perform the intermediate projective measurement,
 then post-select on ``post``.  Each simulated trial samples outcome i with
-probability <pre|P_i|pre>, collapses to P_i|pre>/||.||, and accepts the
-trial with probability |<post|collapsed>|^2.
+probability p_i = <pre|P_i|pre>, collapses to P_i|pre>/||.||, and accepts the
+trial with probability q_i = |A_i|^2 / p_i, where A_i = <post|P_i|pre>.
 
 A mixture experiment draws its (pre, post) pair per trial from classical
-weights; a ``PrePostExperiment`` is the one-component mixture, and both
-run through one check, one sampler and one predictor.  Post-selection
-weights each component by its success rate, so for unit pairs
-v_c = |pre_c> (x) <post_c| the accepted outcome frequencies follow the
-success-weighted rule
+weights; a ``PrePostExperiment`` is the one-component mixture.  Building
+either runs the one per-component pass of ``measurement`` once, on one
+separable vector v_c = |pre_c> (x) <post_c| per component, and stores its
+rows (c, w_c, |A(v_c)|).  The story gate, the predictor and the sampler's
+acceptances all read those rows (q_i = 0 off them).  Post-selection weights
+each component by its success rate S_c = sum_j |A_j(v_c)|^2, so accepted
+outcome frequencies follow the success-weighted rule
 
     Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2
 
-over the story-forming components, which for one pair is the ABL rule of
-the story (|pre> (x) <post|, measurement).  ``validate_abl`` and
-``validate_mixture_abl`` compare against it with per-outcome binomial
-standard-error bounds.  It matches the prior-weighted rule of
-``distinguish.mixture_statistics`` only when all story-forming components
-share one success rate (as in the bundled symmetric demos).
+over the rows: for one pair, the ABL rule.  It is the prior-weighted rule of
+``distinguish.mixture_statistics`` in other weights: sampling at
+u_c = w_c / S_c (normalized) reproduces the prior-weighted statistics of the
+weights w_c, so the two agree at equal weights only when all S_c are equal.
 
 Trials are processed in fixed-size blocks; block b draws its generator
 from the seed material (base seed, b) and takes from it, per block, the
@@ -48,9 +48,9 @@ from .errors import (
 from .measurement import (
     Measurement,
     OutcomeDistribution,
+    _amplitudes,
     _check_weights,
-    _story_magnitudes,
-    forms_story,
+    _story_rows,
 )
 
 #: Trials per RNG block (the shard granularity of the seeding contract).
@@ -60,10 +60,12 @@ BLOCK_SIZE = 8192
 _NORM_TOL = 1e-9
 
 
-def _check_experiment(components, measurement: Measurement,
-                      trials: int) -> tuple:
-    """The one experiment check; returns the components with float weights."""
-    comps = tuple((float(w), pre, post) for w, pre, post in components)
+def _check_experiment(exp) -> tuple:
+    """The one experiment check, which stores on ``exp`` the story rows of
+    its components (one separable vector each); returns the components
+    with float weights."""
+    measurement = exp.measurement
+    comps = tuple((float(w), pre, post) for w, pre, post in exp.components)
     _check_weights(comps)
     for _, pre, post in comps:
         if pre.dim != measurement.dim or post.dim != measurement.dim:
@@ -75,15 +77,16 @@ def _check_experiment(components, measurement: Measurement,
             if abs(state.norm - 1.0) > _NORM_TOL:
                 raise ShapeMismatchError(
                     f"{name} state must be normalized (norm = {state.norm!r})")
-    if trials < 1:
-        raise ShapeMismatchError(f"trials must be >= 1, got {trials}")
-    if not any(w > 0.0 and forms_story(TwoStateVector.separable(pre, post),
-                                       measurement)
-               for w, pre, post in comps):
+    if exp.trials < 1:
+        raise ShapeMismatchError(f"trials must be >= 1, got {exp.trials}")
+    rows = _story_rows([(w, TwoStateVector.separable(pre, post))
+                        for w, pre, post in comps], measurement)
+    if not rows:
         raise NotAStoryError(
             "|pre> (x) <post| forms no story with the measurement; "
             "post-selection would never succeed"
         )
+    object.__setattr__(exp, "_rows", rows)
     return comps
 
 
@@ -104,7 +107,7 @@ class PrePostExperiment:
     seed: int
 
     def __post_init__(self):
-        _check_experiment(self.components, self.measurement, self.trials)
+        _check_experiment(self)
 
     @property
     def components(self) -> tuple[tuple[float, StateVector, StateVector], ...]:
@@ -144,28 +147,12 @@ def merge_logs(a: TrialLog, b: TrialLog) -> TrialLog:
     return TrialLog(a.outcome_counts + b.outcome_counts, a.trials + b.trials)
 
 
-def _outcome_model(pre: StateVector, post: StateVector,
-                   m: Measurement) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome sampling probabilities p and success probabilities q."""
-    p = np.einsum("i,kij,j->k", pre.amplitudes.conj(), m._stacked,
-                  pre.amplitudes).real
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    overlap = np.einsum("i,kij,j->k", post.amplitudes.conj(), m._stacked,
-                        pre.amplitudes)
-    joint = np.abs(overlap) ** 2
-    q = np.divide(joint, p, out=np.zeros_like(joint), where=p > 0)
-    return p, np.clip(q, 0.0, 1.0)
-
-
 def joint_probabilities(exp: PrePostExperiment) -> np.ndarray:
-    """Per-outcome probability of (outcome AND successful post-selection)."""
+    """Per-outcome probability of (outcome AND successful post-selection):
+    the success-weighted rule sum_c w_c |A_i(v_c)|^2 over the story rows."""
     joint = np.zeros(exp.measurement.num_outcomes)
-    for w, pre, post in exp.components:
-        mags, story = _story_magnitudes(TwoStateVector.separable(pre, post),
-                                        exp.measurement)
-        if story:
-            joint += w * mags ** 2
+    for _, w, mags in exp._rows:
+        joint += w * mags ** 2
     return joint
 
 
@@ -174,28 +161,30 @@ def success_probability(exp: PrePostExperiment) -> float:
     return float(np.sum(joint_probabilities(exp)))
 
 
-def _simulate_blocks(seed: int, trials: int, draw_block) -> np.ndarray:
-    counts = 0
-    for block, offset in enumerate(range(0, trials, BLOCK_SIZE)):
-        rng = _rng(seed, block)
-        counts = counts + draw_block(rng, min(BLOCK_SIZE, trials - offset))
-    return counts
-
-
 def _sample(exp: PrePostExperiment | MixtureExperiment) -> TrialLog:
-    k = exp.measurement.num_outcomes
+    stacked = exp.measurement._stacked
+    k = stacked.shape[0]
     weights = np.array([w for w, _, _ in exp.components])
     cum_w = np.cumsum(weights / weights.sum())
-    models = [_outcome_model(pre, post, exp.measurement)
-              for _, pre, post in exp.components]
-    n_comp = len(models)
+    n_comp = len(weights)
+    # Born probabilities p_i = Tr(P_i |pre><pre|) of each component ...
+    kets = np.array([pre.amplitudes for _, pre, _ in exp.components])
+    p = _amplitudes(stacked, kets[:, :, None] * kets[:, None, :].conj()).real
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    # ... and acceptances q_i = |A_i|^2 / p_i, 0 off the story rows.
+    joint = np.zeros((n_comp, k))
+    for c, _, mags in exp._rows:
+        joint[c] = mags ** 2
+    q = np.divide(joint, p, out=np.zeros_like(joint), where=p > 0)
+    q = np.clip(q, 0.0, 1.0)
     # Component c's cumulative outcome table, offset into [c, c + 1], so
     # one search finds every trial's outcome.
-    cum = (np.arange(n_comp)[:, None]
-           + np.stack([np.cumsum(p) for p, _ in models])).ravel()
-    q = np.stack([qc for _, qc in models])
-
-    def draw_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    cum = (np.arange(n_comp)[:, None] + np.cumsum(p, axis=1)).ravel()
+    counts = 0
+    for block, offset in enumerate(range(0, exp.trials, BLOCK_SIZE)):
+        rng = _rng(exp.seed, block)
+        n = min(BLOCK_SIZE, exp.trials - offset)
         comp = 0
         if n_comp > 1:
             comp = np.searchsorted(cum_w, rng.random(n), side="right")
@@ -203,10 +192,8 @@ def _sample(exp: PrePostExperiment | MixtureExperiment) -> TrialLog:
         outcomes = np.searchsorted(cum, comp + rng.random(n), side="right")
         outcomes = np.clip(outcomes - comp * k, 0, k - 1)
         accepted = rng.random(n) < q[comp, outcomes]
-        return np.bincount(outcomes[accepted], minlength=k)
-
-    return TrialLog(_simulate_blocks(exp.seed, exp.trials, draw_block),
-                    exp.trials)
+        counts = counts + np.bincount(outcomes[accepted], minlength=k)
+    return TrialLog(counts, exp.trials)
 
 
 def simulate(exp: PrePostExperiment) -> TrialLog:
@@ -288,18 +275,6 @@ class AblValidation:
         }
 
 
-def _check_expected_successes(joint: np.ndarray, trials: int) -> None:
-    expected = trials * joint
-    low = (joint > 1e-12) & (expected < 100.0)
-    if np.any(low):
-        i = int(np.argmax(low))
-        raise InsufficientTrialsError(
-            f"outcome {i} expects only {expected[i]:.1f} successes at "
-            f"{trials} trials; need >= 100 for the sigma bound to be "
-            "meaningful"
-        )
-
-
 def _build_validation(counts: np.ndarray, trials: int,
                       predicted: OutcomeDistribution,
                       labels: tuple[str, ...] | None,
@@ -328,7 +303,15 @@ def _validate(exp: PrePostExperiment | MixtureExperiment,
         raise ShapeMismatchError(
             f"sigma bound {sigma_bound!r} not in (0, inf)")
     joint = joint_probabilities(exp)
-    _check_expected_successes(joint, exp.trials)
+    expected = exp.trials * joint
+    low = (joint > 1e-12) & (expected < 100.0)
+    if np.any(low):
+        i = int(np.argmax(low))
+        raise InsufficientTrialsError(
+            f"outcome {i} expects only {expected[i]:.1f} successes at "
+            f"{exp.trials} trials; need >= 100 for the sigma bound to be "
+            "meaningful"
+        )
     log = _sample(exp)
     return _build_validation(log.outcome_counts, exp.trials,
                              OutcomeDistribution(joint / joint.sum()),
@@ -362,8 +345,7 @@ class MixtureExperiment:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _check_experiment(
-            self.components, self.measurement, self.trials))
+        object.__setattr__(self, "components", _check_experiment(self))
 
 
 def simulate_mixture(mexp: MixtureExperiment) -> TrialLog:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twinspace import (
+    DEFAULT_TOL,
     CertificationVerdict,
     DimensionMismatchError,
     FeasibilityVerdict,
@@ -360,15 +361,14 @@ def test_zero_constraints_empty_for_nowhere_zero_target():
 
 
 def reference_zero_system(target, family):
-    """Zero outcomes (p <= tol) and anchor from numpy ABL values."""
-    dists = []
-    for m in family:
-        amps = np.array([np.trace(p.matrix @ target.matrix)
-                         for p in m.projectors])
-        dists.append(np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2))
-    zeros = tuple((mi, oi) for mi, p in enumerate(dists)
-                  for oi in range(len(p)) if p[oi] <= 1e-10)
-    return zeros, (0, int(np.argmax(dists[0])))
+    """Zero outcomes (|A_i| <= tol * ||target||) and anchor (largest
+    |A_i| of the first measurement) from numpy amplitudes."""
+    floor = 1e-10 * np.linalg.norm(target.matrix)
+    mags = [np.abs([np.trace(p.matrix @ target.matrix) for p in m.projectors])
+            for m in family]
+    zeros = tuple((mi, oi) for mi, a in enumerate(mags)
+                  for oi in range(len(a)) if a[oi] <= floor)
+    return zeros, (0, int(np.argmax(mags[0])))
 
 
 def test_zero_system_derived_from_target_and_family():
@@ -405,6 +405,21 @@ def test_zero_system_refusals():
         ZeroConstraintSystem(E00, FAMILY)
     with pytest.raises(NotAStoryError):
         ZeroConstraintSystem(E01, (DIAGONAL, COMPUTATIONAL))
+
+
+def test_zero_outcomes_follow_the_story_rule():
+    """Outcome i is zero iff |A_i| <= DEFAULT_TOL * ||target||, the story
+    rule's floor (the ABL probability, |A_i|^2 / sum |A_j|^2, once counted
+    outcomes up to 1e-5 * ||A|| in amplitude as zero)."""
+    bump = np.zeros((3, 3))
+    bump[0, 0] = 1e-6
+    target = TwoStateVector(QUTRIT_SIGNED.matrix + bump)
+    assert zero_constraints(target, FAMILY).zero_outcomes == ((0, 1),)
+    report = certify_strict_nonseparability(target, FAMILY, 8, 0)
+    assert report.verdict is CertificationVerdict.NOT_CERTIFIED
+    for eps, zeros in ((0.5 * DEFAULT_TOL, ((0, 1),)), (2 * DEFAULT_TOL, ())):
+        v = TwoStateVector(np.diag([1.0, eps]))
+        assert zero_constraints(v, [COMPUTATIONAL]).zero_outcomes == zeros
 
 
 def test_constraint_amplitude_matches_trace_functional():
@@ -556,6 +571,18 @@ def test_certify_qubit_identity_not_certified():
     assert report.verdict is CertificationVerdict.NOT_CERTIFIED
     assert report.feasibility.verdict is FeasibilityVerdict.FEASIBLE
     assert "not certified" in report.message
+
+
+def test_not_certified_message_claims_no_replication():
+    """FEASIBLE shows one separable vector meeting the zero constraints and
+    the anchor floor, not that a mixture replicates the target."""
+    family = [COMPUTATIONAL, DIAGONAL, WS.measurement("circular")]
+    message = certify_strict_nonseparability(QUBIT_IDENTITY, family, 8,
+                                             0).message
+    assert "replicat" not in message
+    assert "family exists" not in message
+    assert "one separable vector meets every zero constraint" in message
+    assert "anchor" in message
 
 
 def test_certify_qutrit_signed_strict():

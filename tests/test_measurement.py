@@ -101,6 +101,15 @@ def test_measurement_label_count_must_match():
         Measurement((Projector(np.eye(2)),), labels=("a", "b"))
 
 
+@pytest.mark.parametrize("labels", ["ab", 5, {"a", "b"}])
+def test_measurement_labels_must_be_a_sequence_of_names(labels):
+    """A string is not a list of its characters, and an int or a set is not
+    a sequence: each is a library error, not a bare TypeError or a silent
+    reading."""
+    with pytest.raises(ShapeMismatchError, match="labels must be"):
+        Measurement(COMPUTATIONAL.projectors, labels)
+
+
 def test_measurement_rejects_mixed_dims():
     with pytest.raises(DimensionMismatchError):
         Measurement((Projector(np.eye(2)), Projector(np.eye(3))))

@@ -5,11 +5,14 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twinspace import (
     BLOCK_SIZE,
     DimensionMismatchError,
     InsufficientTrialsError,
+    Mixture,
     MixtureExperiment,
     NoSuccessesError,
     NotAStoryError,
@@ -18,17 +21,21 @@ from twinspace import (
     StateVector,
     TrialLog,
     TwinspaceError,
+    TwoStateVector,
     empirical_distribution,
+    forms_story,
     joint_probabilities,
     merge_logs,
     mixture_statistics,
+    outcome_amplitudes,
+    random_measurement,
     simulate,
     simulate_mixture,
     success_probability,
     validate_abl,
     validate_mixture_abl,
 )
-from twinspace.montecarlo import _build_validation, _outcome_model
+from twinspace.montecarlo import _build_validation
 from twinspace.workspace import builtin_workspace
 
 WS = builtin_workspace()
@@ -39,6 +46,22 @@ COMPUTATIONAL = WS.measurement("computational")
 DIAGONAL = WS.measurement("diagonal")
 
 GOLDEN = PrePostExperiment(KET0, KET1, DIAGONAL, trials=100_000, seed=42)
+
+
+def _outcome_model(pre, post, m):
+    """Reference sampling model, written out independently of the package:
+    Born probabilities p_i = <pre|P_i|pre> and acceptances
+    q_i = |<post|P_i|pre>|^2 / p_i."""
+    stack = np.stack([proj.matrix for proj in m.projectors])
+    p = np.einsum("i,kij,j->k", pre.amplitudes.conj(), stack,
+                  pre.amplitudes).real
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum()
+    overlap = np.einsum("i,kij,j->k", post.amplitudes.conj(), stack,
+                        pre.amplitudes)
+    joint = np.abs(overlap) ** 2
+    q = np.divide(joint, p, out=np.zeros_like(joint), where=p > 0)
+    return p, np.clip(q, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +109,31 @@ def test_zero_weight_component_leaves_prediction_unchanged():
                                DIAGONAL, 20000, 0)
     np.testing.assert_array_equal(joint_probabilities(padded),
                                   joint_probabilities(alone))
+
+
+def test_each_component_is_built_once(monkeypatch):
+    """Constructing an experiment builds one separable two-state vector per
+    component; predicting, simulating and validating it build none."""
+    built = []
+    init = TwoStateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(TwoStateVector, "__post_init__", counting)
+    exp = PrePostExperiment(KET0, KET1, DIAGONAL, 20_000, 0)
+    assert len(built) == 1
+    mexp = MixtureExperiment(((0.5, PLUS, PLUS), (0.0, KET0, KET0),
+                              (0.5, KET0, KET1)), DIAGONAL, 20_000, 0)
+    assert len(built) == 4
+    joint_probabilities(exp)
+    success_probability(mexp)
+    simulate(exp)
+    simulate_mixture(mexp)
+    validate_abl(exp)
+    validate_mixture_abl(mexp)
+    assert len(built) == 4
 
 
 def test_story_vector_is_separable_pair():
@@ -353,6 +401,54 @@ def test_mixture_prediction_weights_by_post_selection_success():
         [5.0 / 6.0, 1.0 / 6.0], abs=1e-12)
     assert report.sigma_bound == 4.0
     assert report.passed
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), n_pairs=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_two_mixture_rules_are_one_rule(d, n_pairs, seed):
+    """Sampling pair c at u_c = w_c / S_c, with S_c = sum_j |A_j(v_c)|^2
+    its success rate, gives the prior-weighted statistics of the weights
+    w_c.  A zero-weight component and, from d = 2, a component with no
+    story ride along on both sides."""
+    rng = np.random.default_rng(seed)
+    m = random_measurement(d, int(rng.integers(1, d + 1)), seed)
+
+    def unit():
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return StateVector(z / np.linalg.norm(z))
+
+    pairs = [(unit(), unit()) for _ in range(n_pairs)]
+    vectors = [TwoStateVector.separable(pre, post) for pre, post in pairs]
+    rates = [float(np.sum(np.abs(outcome_amplitudes(v, m)) ** 2))
+             for v in vectors]
+    assume(min(rates) > 1e-6)
+    prior = list(rng.random(n_pairs) + 0.1)
+    sampled = [w / s for w, s in zip(prior, rates)]
+    pairs.append(pairs[0])
+    prior.append(0.0)
+    sampled.append(0.0)
+    if d > 1:
+        # pre in the range of P_0 and post orthogonal to it: every
+        # <post|P_i|pre> vanishes.
+        cols = m.projectors[0].matrix
+        pre = StateVector.normalized(cols[:, np.argmax(np.abs(cols).sum(0))])
+        z = unit().amplitudes
+        post = StateVector.normalized(
+            z - np.vdot(pre.amplitudes, z) * pre.amplitudes)
+        pairs.append((pre, post))
+        assert not forms_story(TwoStateVector.separable(pre, post), m)
+        prior.append(0.3)
+        sampled.append(0.3)
+    vectors = [TwoStateVector.separable(pre, post) for pre, post in pairs]
+    prior = np.array(prior) / sum(prior)
+    sampled = np.array(sampled) / sum(sampled)
+    stats = mixture_statistics(Mixture(tuple(zip(prior, vectors))), m)
+    mexp = MixtureExperiment(tuple((u, pre, post) for u, (pre, post)
+                                   in zip(sampled, pairs)), m, 1, seed)
+    joint = joint_probabilities(mexp)
+    np.testing.assert_allclose(joint / joint.sum(), stats.probabilities,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bound", [np.inf, np.nan, 0.0, -1.0])

@@ -174,6 +174,21 @@ def test_load_and_validate_share_one_parse_path(tmp_path):
         + messages[("vectors", "zero")].removeprefix("ZeroVectorError: "))
 
 
+@pytest.mark.parametrize("labels", [5, "ab"])
+def test_bad_labels_are_a_failing_validate_row(tmp_path, labels):
+    doc = builtin_workspace().to_json_dict()
+    doc["measurements"]["computational"]["labels"] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    rows = {(section, name): (ok, msg)
+            for section, name, ok, msg in validate_workspace_file(path)}
+    ok, msg = rows[("measurements", "computational")]
+    assert not ok
+    assert msg.startswith("ShapeMismatchError: labels must be")
+    with pytest.raises(WorkspaceError, match="labels must be"):
+        Workspace.load(path)
+
+
 # ---------------------------------------------------------------------------
 # One codec: malformed entries are refused as library errors
 # ---------------------------------------------------------------------------
