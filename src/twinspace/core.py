@@ -45,23 +45,28 @@ DEFAULT_TOL = 1e-10
 #: Hard cap on the Hilbert space dimension (dense-matrix regime).
 MAX_DIM = 64
 
+#: Unit-norm slack of the states that must be normalized.
+_UNIT_TOL = 1e-9
+
 #: Norms and sums of squares inside this range are free of overflow and of
 #: digits lost to underflow.
 _SAFE_RANGE = (2.0 ** -450, 2.0 ** 450)
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Return a read-only C-contiguous complex128 copy of ``array``."""
-    out = np.array(array, dtype=np.complex128, order="C", copy=True)
+def _frozen(array, dtype=np.complex128) -> np.ndarray:
+    """Return a read-only C-contiguous ``dtype`` copy of ``array``."""
+    out = np.array(array, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
 
 
-def _unchecked(cls, matrix: np.ndarray):
-    """A ``cls`` holding ``matrix`` as is, its constructor's checks skipped:
-    for read-only matrices that are valid by construction."""
+def _unchecked(cls, value: np.ndarray):
+    """A ``cls`` (a one-array dataclass) holding ``value``, made C-contiguous
+    and read-only, unchecked: only for results valid by construction."""
+    value = np.ascontiguousarray(value)
+    value.setflags(write=False)
     obj = object.__new__(cls)
-    object.__setattr__(obj, "matrix", matrix)
+    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), value)
     return obj
 
 
@@ -96,9 +101,20 @@ def _norm(array: np.ndarray) -> float:
     return math.ldexp(float(np.linalg.norm(array * math.ldexp(1.0, -e))), e)
 
 
-def _check_finite(array: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(array.view(np.float64))):
+def _checked(data, ndim: int, what: str) -> np.ndarray:
+    """The one vector value rule: ``ndim`` axes (2: square), 1 <= d <=
+    MAX_DIM, finite, not identically zero; returned as a read-only copy."""
+    arr = _square(data, f"{what} matrix") if ndim == 2 else _array(data, what)
+    if arr.ndim != ndim:  # so ndim 1: _square has refused the rest
+        raise ShapeMismatchError(
+            f"{what} must be one-dimensional, got shape {arr.shape}")
+    _check_dim(arr.shape[0], what)
+    arr = _frozen(arr)
+    if not np.all(np.isfinite(arr.view(np.float64))):
         raise ZeroVectorError(f"{what} contains non-finite entries")
+    if not np.any(arr):
+        raise ZeroVectorError(f"{what} is identically zero")
+    return arr
 
 
 def _check_dim(dim: int, what: str) -> None:
@@ -108,6 +124,29 @@ def _check_dim(dim: int, what: str) -> None:
         raise ShapeMismatchError(
             f"{what} has dimension {dim}, above the supported cap {MAX_DIM}"
         )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool; anything
+    else is a ShapeMismatchError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeMismatchError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, what: str) -> int:
+    """``value`` as a count: the one rule, an integer >= 1, not a bool."""
+    n = _integer(value, what)
+    if n < 1:
+        raise ShapeMismatchError(f"{what} must be >= 1, got {value!r}")
+    return n
+
+
+def _check_unit(state, name: str) -> None:
+    """Refuse a state whose norm is not one within _UNIT_TOL."""
+    if abs(state.norm - 1.0) > _UNIT_TOL:
+        raise ShapeMismatchError(
+            f"{name} state must be normalized (norm = {state.norm!r})")
 
 
 def _rng(seed, *keys) -> np.random.Generator:
@@ -132,17 +171,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _array(self.amplitudes, "state vector")
-        if arr.ndim != 1:
-            raise ShapeMismatchError(
-                f"state vector must be one-dimensional, got shape {arr.shape}"
-            )
-        _check_dim(arr.shape[0], "state vector")
-        arr = _frozen(arr)
-        _check_finite(arr, "state vector")
-        if not np.any(arr):
-            raise ZeroVectorError("state vector is identically zero")
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes",
+                           _checked(self.amplitudes, 1, "state vector"))
 
     @property
     def dim(self) -> int:
@@ -156,17 +186,16 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Construct a unit-norm state by rescaling ``amplitudes``."""
-        raw = cls(amplitudes)
-        return cls(raw.amplitudes / raw.norm)
+        raw = cls(amplitudes)  # |a_i| <= norm <= d max|a_i|: finite, nonzero
+        return _unchecked(cls, raw.amplitudes / raw.norm)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """The computational basis vector |index> in C^dim."""
-        if not 0 <= index < dim:
+        _check_dim(dim, "state vector")
+        if not 0 <= _integer(index, "basis index") < dim:
             raise ShapeMismatchError(f"basis index {index} outside range(0, {dim})")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(amps)
+        return _unchecked(cls, np.eye(1, dim, index, dtype=np.complex128)[0])
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "amplitudes": array_to_json(self.amplitudes)}
@@ -191,13 +220,8 @@ class TwoStateVector:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _square(self.matrix, "two-state vector matrix")
-        _check_dim(arr.shape[0], "two-state vector")
-        arr = _frozen(arr)
-        _check_finite(arr, "two-state vector")
-        if not np.any(arr):
-            raise ZeroVectorError("two-state vector is identically zero")
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix",
+                           _checked(self.matrix, 2, "two-state vector"))
 
     @property
     def dim(self) -> int:
@@ -244,7 +268,7 @@ class TwoStateVector:
 
     def unit(self) -> "TwoStateVector":
         """Rescale to Hilbert-Schmidt norm one (presentation only)."""
-        return TwoStateVector(self.matrix / self.hs_norm)
+        return _unchecked(TwoStateVector, self.matrix / self.hs_norm)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "matrix": array_to_json(self.matrix)}
@@ -280,7 +304,7 @@ def time_reverse(v: TwoStateVector) -> TwoStateVector:
     anti-linear and an involution, and it maps |psi> (x) <phi| to
     |phi> (x) <psi|.
     """
-    return TwoStateVector(v.matrix.conj().T)
+    return _unchecked(TwoStateVector, v.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,15 +333,11 @@ def schmidt(v: TwoStateVector) -> SchmidtDecomposition:
     coefficients sum to the squared Hilbert-Schmidt norm.
     """
     u, s, vh = np.linalg.svd(v.matrix)
-    left = tuple(StateVector(u[:, i]) for i in range(v.dim))
-    right = tuple(StateVector(vh[i].conj()) for i in range(v.dim))
-    return SchmidtDecomposition(_frozen_real(s), left, right)
-
-
-def _frozen_real(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+    # Row views of one frozen block of unitary columns: finite and nonzero.
+    vecs = tuple(_unchecked(StateVector, row)
+                 for row in _frozen(np.concatenate((u.T, vh.conj()))))
+    return SchmidtDecomposition(_frozen(s, np.float64), vecs[:v.dim],
+                                vecs[v.dim:])
 
 
 def is_separable(v: TwoStateVector) -> bool:

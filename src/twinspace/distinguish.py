@@ -44,7 +44,10 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
+    _check_unit,
+    _count,
     _rng,
+    _unchecked,
     time_reverse,
 )
 from .errors import (
@@ -143,7 +146,7 @@ def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
         raise NoStoryInMixtureError(
             "no component of positive weight forms a story with the measurement"
         )
-    return OutcomeDistribution(stats)
+    return _unchecked(OutcomeDistribution, stats)
 
 
 def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
@@ -207,9 +210,7 @@ def search_distinguishing_measurement(
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    if trials < 1:
-        raise ShapeMismatchError("trials must be >= 1")
-    for t in range(trials):
+    for t in range(_count(trials, "trials")):
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
         gap = _gap(a.components, b.components, m)
         if gap > DEFAULT_TOL:
@@ -242,6 +243,7 @@ class ZeroConstraintSystem:
     anchor: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "measurements", tuple(self.measurements))
         if not self.measurements:
             raise ShapeMismatchError("zero system needs at least one measurement")
         mags = [_required_story(self.target, m) for m in self.measurements]
@@ -283,7 +285,7 @@ class ZeroConstraintSystem:
 def zero_constraints(target: TwoStateVector,
                      measurements) -> ZeroConstraintSystem:
     """The zero-constraint system of a target on a measurement family."""
-    return ZeroConstraintSystem(target, tuple(measurements))
+    return ZeroConstraintSystem(target, measurements)
 
 
 class FeasibilityVerdict(Enum):
@@ -298,8 +300,8 @@ class FeasibilityReport:
 
     ``best_residual`` is the smallest objective value over all starts:
     the summed squared constraint amplitudes plus the squared anchor
-    shortfall.  ``witness`` (alpha, beta) is present only for FEASIBLE,
-    where it satisfies every constraint within the feasibility tolerance.
+    shortfall.  ``witness``, unit (alpha, beta), is present only for
+    FEASIBLE, where it meets every constraint within the feasibility tolerance.
     """
 
     verdict: FeasibilityVerdict
@@ -308,12 +310,22 @@ class FeasibilityReport:
     starts: int
     seed: int
 
+    def __post_init__(self):
+        if self.witness is not None:  # so witness_vector is finite, nonzero
+            alpha, beta = self.witness
+            if alpha.dim != beta.dim:
+                raise DimensionMismatchError(
+                    f"witness dims differ: {alpha.dim} != {beta.dim}")
+            _check_unit(alpha, "alpha")
+            _check_unit(beta, "beta")
+
     def witness_vector(self) -> TwoStateVector:
         """The separable two-state vector alpha beta^T of the witness."""
         if self.witness is None:
             raise SeparableInputError("report carries no witness")
         alpha, beta = self.witness
-        return TwoStateVector(np.outer(alpha.amplitudes, beta.amplitudes))
+        return _unchecked(TwoStateVector,
+                          np.outer(alpha.amplitudes, beta.amplitudes))
 
     def to_json(self) -> dict:
         obj = {
@@ -368,8 +380,7 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
     """
     from scipy.optimize import minimize
 
-    if starts < 1:
-        raise ShapeMismatchError("starts must be >= 1")
+    _count(starts, "starts")
     objective = _feasibility_objective(sys)
     d = sys.dim
     best_value = np.inf
@@ -410,8 +421,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     verdict is only credible if blind sampling also finds no
     near-solution.
     """
-    if samples < 1:
-        raise ShapeMismatchError("samples must be >= 1")
+    _count(samples, "samples")
     cs = sys.constraint_matrices()
     d = sys.dim
     flat = cs.reshape(-1, d * d)

@@ -46,7 +46,7 @@ from .core import (
     _check_dim,
     _declared_array,
     _frozen,
-    _frozen_real,
+    _integer,
     _norm,
     _rng,
     _square,
@@ -243,11 +243,16 @@ def measurement_from_basis_grouping(
     if not basis:
         raise ShapeMismatchError("basis needs at least one vector")
     dim = basis[0].dim
+    for s in basis:
+        if s.dim != dim:
+            raise DimensionMismatchError(
+                f"basis state has dim {s.dim}, expected {dim}")
     if len(basis) != dim:
         raise ShapeMismatchError(f"{len(basis)} basis vectors for dim {dim}")
     b = np.column_stack([s.amplitudes for s in basis])
     # An empty group is the rank-0 outcome that Measurement refuses.
-    if sorted(int(i) for group in grouping for i in group) != list(range(dim)):
+    if sorted(_integer(i, "grouping entry") for group in grouping
+              for i in group) != list(range(dim)):
         raise ShapeMismatchError(
             f"grouping {grouping!r} is not a partition of range({dim})"
         )
@@ -374,7 +379,7 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_real(_array(self.probabilities, "distribution"))
+        arr = _frozen(_array(self.probabilities, "distribution"), np.float64)
         if arr.ndim != 1 or not arr.size:
             raise ShapeMismatchError(
                 "distribution must be one-dimensional and nonempty")
@@ -407,7 +412,7 @@ def abl_probabilities(v: TwoStateVector,
     Raises NotAStory exactly when ``forms_story`` is false, i.e. when every
     |A_i| is at or below DEFAULT_TOL * ||v||.
     """
-    return OutcomeDistribution(_abl(_required_story(v, m)))
+    return _unchecked(OutcomeDistribution, _abl(_required_story(v, m)))
 
 
 def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:

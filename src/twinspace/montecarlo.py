@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, TwoStateVector, _rng
+from .core import (StateVector, TwoStateVector, _check_unit, _count, _rng,
+                   _unchecked)
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -56,8 +57,11 @@ from .measurement import (
 #: Trials per RNG block (the shard granularity of the seeding contract).
 BLOCK_SIZE = 8192
 
-#: Unit-norm slack accepted for pre/post states.
-_NORM_TOL = 1e-9
+
+def _pair_vector(pre: StateVector, post: StateVector) -> TwoStateVector:
+    """|pre> (x) <post| of checked unit states: finite and nonzero."""
+    return _unchecked(TwoStateVector,
+                      np.outer(pre.amplitudes, post.amplitudes.conj()))
 
 
 def _check_experiment(exp) -> tuple:
@@ -73,13 +77,11 @@ def _check_experiment(exp) -> tuple:
                 f"state dims ({pre.dim}, {post.dim}) != "
                 f"measurement dim {measurement.dim}"
             )
-        for state, name in ((pre, "pre"), (post, "post")):
-            if abs(state.norm - 1.0) > _NORM_TOL:
-                raise ShapeMismatchError(
-                    f"{name} state must be normalized (norm = {state.norm!r})")
-    if exp.trials < 1:
-        raise ShapeMismatchError(f"trials must be >= 1, got {exp.trials}")
-    rows = _story_rows([(w, TwoStateVector.separable(pre, post))
+        _check_unit(pre, "pre")
+        _check_unit(post, "post")
+    _count(exp.trials, "trials")
+    _rng(exp.seed, 0)  # block 0's seeding: a bad seed fails here
+    rows = _story_rows([(w, _pair_vector(pre, post))
                         for w, pre, post in comps], measurement)
     if not rows:
         raise NotAStoryError(
@@ -116,7 +118,7 @@ class PrePostExperiment:
 
     def story_vector(self) -> TwoStateVector:
         """The separable two-state vector |pre> (x) <post|."""
-        return TwoStateVector.separable(self.pre, self.post)
+        return _pair_vector(self.pre, self.post)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +211,7 @@ def empirical_distribution(log: TrialLog) -> OutcomeDistribution:
     """Joint counts divided by total successes."""
     if log.successes == 0:
         raise NoSuccessesError("no post-selection successes recorded")
-    return OutcomeDistribution(log.outcome_counts / log.successes)
+    return _unchecked(OutcomeDistribution, log.outcome_counts / log.successes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,8 +315,8 @@ def _validate(exp: PrePostExperiment | MixtureExperiment,
             "meaningful"
         )
     log = _sample(exp)
-    return _build_validation(log.outcome_counts, exp.trials,
-                             OutcomeDistribution(joint / joint.sum()),
+    predicted = _unchecked(OutcomeDistribution, joint / joint.sum())
+    return _build_validation(log.outcome_counts, exp.trials, predicted,
                              exp.measurement.labels, sigma_bound)
 
 

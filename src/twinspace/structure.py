@@ -108,7 +108,7 @@ def find_story_measurement(v: TwoStateVector) -> StoryCertificate:
         amps = np.zeros(v.dim, dtype=np.complex128)
         amps[r] = 1.0 / np.sqrt(2.0)
         amps[c] = (1j if antisym else 1.0) / np.sqrt(2.0)
-        witness = StateVector(amps)
+        witness = _unchecked(StateVector, amps)
 
     # Tr(|w><w| M) on the witness projector alone, no measurement built.
     a = witness.amplitudes / witness.norm

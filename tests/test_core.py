@@ -1,6 +1,7 @@
 """Core twin-space algebra: constructors, inner product, time reversal,
 Schmidt decomposition, JSON codecs."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -14,17 +15,27 @@ from hypothesis import strategies as st
 import twinspace
 from twinspace import (
     DimensionMismatchError,
+    FeasibilityReport,
+    FeasibilityVerdict,
+    MixtureExperiment,
+    PrePostExperiment,
     SchmidtDecomposition,
     ShapeMismatchError,
     StateVector,
     TwoStateVector,
+    TrialLog,
     ZeroVectorError,
+    abl_probabilities,
+    empirical_distribution,
+    find_story_measurement,
     hs_inner,
     is_separable,
+    mixture_statistics,
     schmidt,
     time_reverse,
     trace_functional,
 )
+from twinspace import montecarlo
 from twinspace.core import array_from_json, array_to_json
 
 RNG = np.random.default_rng(20230817)
@@ -79,6 +90,19 @@ def test_basis_state():
         StateVector.basis_state(4, 4)
 
 
+def test_basis_state_refuses_what_is_no_index_or_dimension():
+    """A bool or non-integer index, and a dimension above the cap, are
+    shape faults; numpy integers are indices like any other."""
+    for index in (True, False, 1.5, np.float64(1.0), "1", None):
+        with pytest.raises(ShapeMismatchError, match="basis index"):
+            StateVector.basis_state(2, index)
+    with pytest.raises(ShapeMismatchError, match="above the supported cap"):
+        StateVector.basis_state(2 ** 62, 0)
+    np.testing.assert_array_equal(
+        StateVector.basis_state(np.int64(3), np.int32(1)).amplitudes,
+        [0, 1, 0])
+
+
 # ---------------------------------------------------------------------------
 # TwoStateVector
 # ---------------------------------------------------------------------------
@@ -102,6 +126,14 @@ def test_separable_is_outer_product():
     np.testing.assert_allclose(
         v.matrix, np.outer(ket.amplitudes, bra.amplitudes.conj())
     )
+
+
+def test_separable_keeps_its_check_where_the_product_underflows():
+    tiny = StateVector([1e-200, 0.0])
+    with pytest.raises(ZeroVectorError, match="identically zero"):
+        TwoStateVector.separable(tiny, tiny)
+    with pytest.raises(ZeroVectorError, match="identically zero"):
+        TwoStateVector.from_pairs([(1.0, tiny, tiny)])
 
 
 def test_separable_dim_mismatch():
@@ -346,3 +378,101 @@ def test_codec_matches_the_per_entry_reference(shape):
     back = array_from_json(json.loads(json.dumps(text)), len(shape), "test")
     assert back.shape == shape
     assert back.tobytes() == np.ascontiguousarray(array).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Results built without a second check
+# ---------------------------------------------------------------------------
+
+V3 = random_two_state(3, np.random.default_rng(12))
+E01 = TwoStateVector([[0.0, 1.0], [0.0, 0.0]])
+ANTISYMMETRIC = TwoStateVector([[0.0, 1.0], [-1.0, 0.0]])
+UNIT_PAIR = (StateVector.normalized([1.0, 1j]),
+             StateVector.normalized([2.0, 1.0]))
+WS = twinspace.builtin_workspace()
+
+
+def _schmidt_vectors(_):
+    sd = schmidt(V3)
+    return [*sd.left, *sd.right]
+
+
+def _pair_vectors(monkeypatch):
+    """The per-component vectors an experiment builds, and a story vector."""
+    seen = []
+    rows = montecarlo._story_rows
+
+    def spy(comps, m):
+        seen.extend(v for _, v in comps)
+        return rows(comps, m)
+
+    monkeypatch.setattr(montecarlo, "_story_rows", spy)
+    diagonal = WS.measurement("diagonal")
+    exp = PrePostExperiment(*UNIT_PAIR, diagonal, 10, 0)
+    MixtureExperiment(((0.5, *UNIT_PAIR),
+                       (0.5, WS.state("ket0"), WS.state("ket1"))),
+                      diagonal, 10, 0)
+    assert len(seen) == 3
+    return [*seen, exp.story_vector()]
+
+
+def _validation_prediction(monkeypatch):
+    seen = []
+    build = montecarlo._build_validation
+
+    def spy(counts, trials, predicted, *rest):
+        seen.append(predicted)
+        return build(counts, trials, predicted, *rest)
+
+    monkeypatch.setattr(montecarlo, "_build_validation", spy)
+    exp = PrePostExperiment(WS.state("ket0"), WS.state("plus"),
+                            WS.measurement("diagonal"), 2_000, 0)
+    montecarlo.validate_abl(exp)
+    return seen
+
+
+# site: (call returning its results, checked builds it makes; only
+# normalized checks, its raw input)
+UNCHECKED_SITES = {
+    "normalized": (lambda _: [StateVector.normalized([3.0, 4j, 0.0])], 1),
+    "basis_state": (lambda _: [StateVector.basis_state(5, 3)], 0),
+    "unit": (lambda _: [V3.unit()], 0),
+    "time_reverse": (lambda _: [time_reverse(V3)], 0),
+    "schmidt": (_schmidt_vectors, 0),
+    "find_story_diagonal": (
+        lambda _: [find_story_measurement(V3).witness], 0),
+    "find_story_symmetric": (
+        lambda _: [find_story_measurement(E01).witness], 0),
+    "find_story_antisymmetric": (
+        lambda _: [find_story_measurement(ANTISYMMETRIC).witness], 0),
+    "witness_vector": (lambda _: [FeasibilityReport(
+        FeasibilityVerdict.FEASIBLE, UNIT_PAIR, 0.0, 1, 0).witness_vector()],
+        0),
+    "experiments": (_pair_vectors, 0),
+    "abl_probabilities": (
+        lambda _: [abl_probabilities(V3, WS.measurement("qutrit_family_1"))],
+        0),
+    "mixture_statistics": (lambda _: [mixture_statistics(
+        WS.mixture("classical_qubit"), WS.measurement("diagonal"))], 0),
+    "empirical_distribution": (
+        lambda _: [empirical_distribution(TrialLog([3, 0, 1], 9))], 0),
+    "validation_prediction": (_validation_prediction, 0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNCHECKED_SITES))
+def test_unchecked_sites_store_what_the_constructor_would(site, builds,
+                                                          monkeypatch):
+    """Each internal result built without a second check holds a read-only
+    C-contiguous array, bit for bit what its checked constructor stores
+    for the same values, and the site runs no check beyond its own."""
+    run, checked = UNCHECKED_SITES[site]
+    results = run(monkeypatch)
+    assert builds.of(kind="checked") == checked
+    for obj in results:
+        name = dataclasses.fields(obj)[0].name
+        value = getattr(obj, name)
+        assert not value.flags.writeable and value.flags.c_contiguous
+        stored = getattr(type(obj)(value.copy()), name)
+        assert stored.dtype == value.dtype and stored.shape == value.shape
+        assert stored.tobytes() == value.tobytes()

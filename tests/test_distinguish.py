@@ -8,11 +8,13 @@ from twinspace import (
     DEFAULT_TOL,
     CertificationVerdict,
     DimensionMismatchError,
+    FeasibilityReport,
     FeasibilityVerdict,
     Mixture,
     NoStoryInMixtureError,
     NotAStoryError,
     OutcomeDistribution,
+    PrePostExperiment,
     SeparableInputError,
     ShapeMismatchError,
     StateVector,
@@ -304,25 +306,13 @@ def test_time_reversal_check_is_replicates_on_per_measurement():
             assert time_reversal_equivalence_check(v, ms) == expected
 
 
-@pytest.fixture
-def distribution_builds(monkeypatch):
-    """Counts OutcomeDistribution constructions."""
-    calls = []
-    post_init = OutcomeDistribution.__post_init__
-
-    def counting(self):
-        calls.append(1)
-        post_init(self)
-
-    monkeypatch.setattr(OutcomeDistribution, "__post_init__", counting)
-    return calls
-
-
-def test_distributions_built_only_where_returned(distribution_builds):
+def test_distributions_built_only_where_returned(builds):
+    """Only the functions that return a distribution build one, without a
+    second check; the verdict paths build none and check nothing again."""
     abl_probabilities(E00, DIAGONAL)
-    assert len(distribution_builds) == 1
+    assert builds.of(OutcomeDistribution) == 1
     mixture_statistics(CLASSICAL, DIAGONAL)
-    assert len(distribution_builds) == 2
+    assert builds.of(OutcomeDistribution) == 2
     replicates_on(Mixture.point(QUBIT_IDENTITY), CLASSICAL, DIAGONAL)
     assert search_distinguishing_measurement(
         Mixture.point(QUBIT_IDENTITY), CLASSICAL, 3, 2, 0) is None
@@ -330,7 +320,8 @@ def test_distributions_built_only_where_returned(distribution_builds):
         Mixture.point(E00), Mixture.point(E11), 3, 2, 0) is not None
     assert time_reversal_equivalence_check(QUBIT_IDENTITY,
                                            [COMPUTATIONAL, DIAGONAL])
-    assert len(distribution_builds) == 2
+    assert builds.of(OutcomeDistribution) == 2
+    assert builds.of(kind="checked") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +338,17 @@ def test_zero_constraints_on_qutrit_family():
     np.testing.assert_allclose(
         cs[0], FAMILY[0].projectors[1].matrix.T, atol=1e-15
     )
+
+
+def test_zero_system_keeps_its_own_family():
+    """The system holds a tuple of the family it was given: appending to
+    the caller's list later changes neither it nor its zero outcomes."""
+    family = list(FAMILY)
+    system = ZeroConstraintSystem(QUTRIT_SIGNED, family)
+    family.append(COMPUTATIONAL)
+    assert system.measurements == FAMILY
+    assert system.zero_outcomes == qutrit_system().zero_outcomes
+    assert zero_constraints(QUTRIT_SIGNED, iter(FAMILY)).measurements == FAMILY
 
 
 def test_zero_constraints_requires_target_story():
@@ -476,6 +478,22 @@ def test_feasibility_rejects_zero_starts():
         separable_feasibility(qutrit_system(), starts=0, seed=0)
 
 
+def test_feasibility_report_checks_its_witness():
+    """A report's witness is two unit vectors of one dimension, refused
+    otherwise when the report is built, so its vector is a valid one."""
+    unit = StateVector.normalized([1.0, 1j])
+    for witness, error in (((unit, StateVector([1.0, 0.0, 0.0])),
+                            DimensionMismatchError),
+                           ((StateVector([1e-200, 0.0]), unit),
+                            ShapeMismatchError)):
+        with pytest.raises(error):
+            FeasibilityReport(FeasibilityVerdict.FEASIBLE, witness, 0.0, 1, 0)
+    report = FeasibilityReport(FeasibilityVerdict.FEASIBLE, (unit, unit),
+                               0.0, 1, 0)
+    np.testing.assert_allclose(report.witness_vector().matrix,
+                               [[0.5, 0.5j], [0.5j, -0.5]], atol=1e-16)
+
+
 def test_scan_floor_confirms_infeasibility():
     floor = scan_separable_residual(qutrit_system(), samples=20000, seed=1)
     assert floor > 1e-4
@@ -485,6 +503,26 @@ def test_scan_floor_confirms_infeasibility():
 def test_scan_refuses_empty_work(samples):
     with pytest.raises(ShapeMismatchError):
         scan_separable_residual(qutrit_system(), samples, 1)
+
+
+def test_counts_follow_one_rule():
+    """Trials, starts and samples are integers >= 1, never a bool or a
+    float: a shape fault on every path, the Monte Carlo experiments' at
+    construction; numpy integers are counts like any other."""
+    system = qutrit_system()
+    point = Mixture.point(E01)
+    calls = [
+        lambda n: search_distinguishing_measurement(point, CLASSICAL, n, 2, 0),
+        lambda n: scan_separable_residual(system, n, 0),
+        lambda n: separable_feasibility(system, n, 0),
+        lambda n: PrePostExperiment(WS.state("ket0"), WS.state("ket1"),
+                                    DIAGONAL, n, 0),
+    ]
+    for call in calls:
+        for bad in (2.5, 1.5, True, np.float64(3.0), "3", 0):
+            with pytest.raises(ShapeMismatchError, match="must be"):
+                call(bad)
+        call(np.int64(1))
 
 
 def test_scan_reaches_zero_on_feasible_system():

@@ -201,6 +201,21 @@ def test_basis_grouping_rejects_bad_partition():
         measurement_from_basis_grouping([], [])
 
 
+def test_basis_grouping_refuses_non_integer_entries_and_mixed_dims():
+    """A bool or non-integer group entry is a shape fault, and a basis
+    state of another dimension a dimension fault, before numpy sees them;
+    numpy integers are entries like any other."""
+    for grouping in ([[0.5], [1]], [[True], [False]], [[0], ["1"]]):
+        with pytest.raises(ShapeMismatchError, match="grouping entry"):
+            measurement_from_basis_grouping([KET0, KET1], grouping)
+    with pytest.raises(DimensionMismatchError):
+        measurement_from_basis_grouping(
+            [KET0, StateVector.basis_state(3, 1)], [[0], [1]])
+    m = measurement_from_basis_grouping([KET0, KET1],
+                                        [[np.int64(1)], [np.int32(0)]])
+    assert m.projectors[0].matrix[1, 1] == 1.0
+
+
 def test_ragged_matrices_are_shape_faults():
     ragged = [[1.0, 0.0], [0.0]]
     with pytest.raises(ShapeMismatchError, match="ragged"):

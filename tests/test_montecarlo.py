@@ -111,29 +111,24 @@ def test_zero_weight_component_leaves_prediction_unchanged():
                                   joint_probabilities(alone))
 
 
-def test_each_component_is_built_once(monkeypatch):
+def test_each_component_is_built_once(builds):
     """Constructing an experiment builds one separable two-state vector per
-    component; predicting, simulating and validating it build none."""
-    built = []
-    init = TwoStateVector.__post_init__
-
-    def counting(self):
-        built.append(self)
-        init(self)
-
-    monkeypatch.setattr(TwoStateVector, "__post_init__", counting)
+    component, from its checked unit states without a second check;
+    predicting, simulating and validating it build none, and nothing on
+    these paths is checked again."""
     exp = PrePostExperiment(KET0, KET1, DIAGONAL, 20_000, 0)
-    assert len(built) == 1
+    assert builds.of(TwoStateVector) == 1
     mexp = MixtureExperiment(((0.5, PLUS, PLUS), (0.0, KET0, KET0),
                               (0.5, KET0, KET1)), DIAGONAL, 20_000, 0)
-    assert len(built) == 4
+    assert builds.of(TwoStateVector) == 4
     joint_probabilities(exp)
     success_probability(mexp)
     simulate(exp)
     simulate_mixture(mexp)
     validate_abl(exp)
     validate_mixture_abl(mexp)
-    assert len(built) == 4
+    assert builds.of(TwoStateVector) == 4
+    assert builds.of(kind="checked") == 0
 
 
 def test_story_vector_is_separable_pair():
@@ -462,6 +457,8 @@ def test_validation_refuses_meaningless_sigma_bound(bound):
 
 
 def test_simulation_refuses_a_negative_seed():
-    exp = PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=-1)
+    """Refused when the experiment is built, so no simulation can start."""
     with pytest.raises(ShapeMismatchError, match="seed.*-1"):
-        simulate(exp)
+        PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=-1)
+    with pytest.raises(ShapeMismatchError, match="seed.*-1"):
+        MixtureExperiment(((1.0, KET0, KET1),), DIAGONAL, 100, -1)
