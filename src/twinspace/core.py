@@ -192,6 +192,7 @@ class StateVector:
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """The computational basis vector |index> in C^dim."""
+        dim = _integer(dim, "state vector dimension")
         _check_dim(dim, "state vector")
         if not 0 <= _integer(index, "basis index") < dim:
             raise ShapeMismatchError(f"basis index {index} outside range(0, {dim})")

@@ -195,6 +195,7 @@ class Measurement:
     @classmethod
     def trivial(cls, dim: int) -> "Measurement":
         """The single-outcome measurement {identity}."""
+        dim = _integer(dim, "measurement dimension")
         _check_dim(dim, "measurement")  # before np.eye allocates d x d
         return cls((np.eye(dim),))
 
@@ -423,6 +424,8 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
     ``num_outcomes`` contiguous nonempty groups with uniformly chosen cut
     points.  Deterministic in ``rng_seed``.
     """
+    dim = _integer(dim, "measurement dimension")
+    num_outcomes = _integer(num_outcomes, "num_outcomes")
     if not 1 <= num_outcomes <= dim:
         raise ShapeMismatchError(
             f"num_outcomes must lie in [1, {dim}], got {num_outcomes}"

@@ -198,6 +198,7 @@ def test_feasibility_qutrit_family(capsys):
     assert code == 0
     assert "STRICTLY_NONSEPARABLE_EVIDENCE" in out
     assert "zero constraints: 4" in out
+    assert "status" not in out and "median" not in out  # --json only
 
 
 def test_feasibility_separable_target_exits_1(capsys):

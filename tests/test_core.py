@@ -103,6 +103,12 @@ def test_basis_state_refuses_what_is_no_index_or_dimension():
         [0, 1, 0])
 
 
+@pytest.mark.parametrize("dim", [2.5, True, np.float64(2.0), "2", None])
+def test_basis_state_refuses_a_dimension_that_is_no_integer(dim):
+    with pytest.raises(ShapeMismatchError, match="dimension must be an integer"):
+        StateVector.basis_state(dim, 0)
+
+
 # ---------------------------------------------------------------------------
 # TwoStateVector
 # ---------------------------------------------------------------------------

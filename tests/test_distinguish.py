@@ -37,6 +37,7 @@ from twinspace import (
     time_reverse,
     zero_constraints,
 )
+from twinspace.distinguish import DEFAULT_ANCHOR_FLOOR
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 WS = builtin_workspace()
@@ -471,6 +472,94 @@ def test_feasibility_deterministic_in_seed():
     a = separable_feasibility(system, starts=8, seed=5)
     b = separable_feasibility(system, starts=8, seed=5)
     assert a.best_residual == b.best_residual
+
+
+def _old_objective(cs, anchor, x):
+    """The objective as computed before it returned a gradient: amplitudes
+    from the flattened outer product, the anchor amplitude apart."""
+    d = anchor.shape[0]
+    ar, ai, br, bi = np.split(x, 4)
+    alpha = ar + 1j * ai
+    beta = br + 1j * bi
+    alpha = alpha / np.linalg.norm(alpha)
+    beta = beta / np.linalg.norm(beta)
+    amps = cs.reshape(-1, d * d) @ np.outer(alpha, beta).reshape(-1)
+    residual = float(np.sum(np.abs(amps) ** 2))
+    anchor_amp = abs(np.dot(alpha, anchor @ beta))
+    shortfall = max(0.0, DEFAULT_ANCHOR_FLOOR - anchor_amp)
+    return residual + shortfall * shortfall, anchor_amp
+
+
+def _gradient_systems():
+    """(constraint matrices, anchor matrix) of the qutrit system and of
+    seeded random systems at d = 2, 3, 4, whose matrices are transposed
+    projectors of random measurements, neither diagonal nor real."""
+    system = qutrit_system()
+    yield pytest.param(system.constraint_matrices(), system.anchor_matrix(),
+                       id="qutrit")
+    for d in (2, 3, 4):
+        m = random_measurement(d, d, [31, d])
+        cs = np.array([p.matrix.T for p in m.projectors[:-1]])
+        anchor = random_measurement(d, 2, [37, d]).projectors[0].matrix.T
+        yield pytest.param(cs, anchor, id=f"d{d}")
+
+
+@pytest.mark.parametrize("cs, anchor", list(_gradient_systems()))
+@pytest.mark.parametrize("active", [True, False],
+                         ids=["shortfall", "no-shortfall"])
+def test_feasibility_gradient_matches_central_differences(cs, anchor, active):
+    """The closed-form gradient agrees with central differences, and the
+    value with the formula it replaced, with the anchor shortfall active
+    (anchor scaled far below the floor) and inactive (far above it)."""
+    from types import SimpleNamespace
+
+    from twinspace.distinguish import _feasibility_objective
+
+    anchor = anchor * (1e-3 if active else 1e3)
+    system = SimpleNamespace(constraint_matrices=lambda: cs,
+                             anchor_matrix=lambda: anchor)
+    objective = _feasibility_objective(system)
+    n = 4 * anchor.shape[0]
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        x = rng.standard_normal(n)
+        value, grad = objective(x)
+        old_value, anchor_amp = _old_objective(cs, anchor, x)
+        assert (anchor_amp < DEFAULT_ANCHOR_FLOOR) == active
+        assert abs(value - old_value) <= 1e-14
+        h = 1e-6
+        central = np.array([(objective(x + h * e)[0]
+                             - objective(x - h * e)[0]) / (2 * h)
+                            for e in np.eye(n)])
+        np.testing.assert_allclose(grad, central, rtol=0, atol=1e-6)
+    value, grad = objective(np.zeros(n))
+    assert value == 1e6
+    np.testing.assert_array_equal(grad, np.zeros(n))
+
+
+def test_feasibility_reaches_the_exact_qutrit_minimum():
+    """200 starts find the exact minimum 3/1100 of the qutrit system."""
+    report = separable_feasibility(qutrit_system(), starts=200, seed=0)
+    assert report.best_residual == pytest.approx(3 / 1100, rel=1e-9, abs=0)
+
+
+def test_feasibility_reports_solver_diagnostics():
+    """Termination statuses and median counts per start are deterministic,
+    cover every start and reach the JSON as additive keys."""
+    report = separable_feasibility(qutrit_system(), starts=8, seed=5)
+    again = separable_feasibility(qutrit_system(), starts=8, seed=5)
+    assert sum(report.status_counts.values()) == 8
+    assert set(report.status_counts) <= {0, 1, 2}
+    assert list(report.status_counts) == sorted(report.status_counts)
+    assert report.status_counts == again.status_counts
+    assert (report.median_nit, report.median_nfev) == (again.median_nit,
+                                                       again.median_nfev)
+    assert 1 <= report.median_nit <= report.median_nfev
+    obj = report.to_json()
+    assert obj["status_counts"] == {str(status): n for status, n
+                                    in report.status_counts.items()}
+    assert (obj["median_nit"], obj["median_nfev"]) == (report.median_nit,
+                                                       report.median_nfev)
 
 
 def test_feasibility_rejects_zero_starts():

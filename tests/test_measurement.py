@@ -121,6 +121,12 @@ def test_trivial_measurement():
     np.testing.assert_array_equal(m.projectors[0].matrix, np.eye(3))
 
 
+@pytest.mark.parametrize("dim", [2.5, True, np.float64(2.0), "2", None])
+def test_trivial_measurement_refuses_a_dimension_that_is_no_integer(dim):
+    with pytest.raises(ShapeMismatchError, match="dimension must be an integer"):
+        Measurement.trivial(dim)
+
+
 def test_validate_measurement_accepts_raw_matrices():
     m = validate_measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
                              labels=["up", "down"])
@@ -437,6 +443,15 @@ def test_random_measurement_rejects_bad_outcome_count():
         random_measurement(3, 0, 0)
     with pytest.raises(ShapeMismatchError):
         random_measurement(3, 4, 0)
+
+
+@pytest.mark.parametrize("dim, k", [(2.5, 1), (True, 1), (np.float64(2.0), 1),
+                                    (2, 1.5), (2, True), (2, np.float64(1.0))])
+def test_random_measurement_refuses_a_dimension_or_count_that_is_no_integer(
+        dim, k):
+    with pytest.raises(ShapeMismatchError, match="must be an integer"):
+        random_measurement(dim, k, 0)
+    assert random_measurement(np.int64(2), np.int32(1), 0).dim == 2
 
 
 # ---------------------------------------------------------------------------
