@@ -134,6 +134,19 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float: a Python or numpy real number, not a bool;
+    anything else is a ShapeMismatchError.  An integer beyond the float
+    range reads as an infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ShapeMismatchError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _count(value, what: str) -> int:
     """``value`` as a count: the one rule, an integer >= 1, not a bool."""
     n = _integer(value, what)

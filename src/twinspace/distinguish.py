@@ -24,8 +24,9 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
 * ``separable_feasibility`` attacks the resulting bilinear system with a
   seeded multi-start local descent over unit vectors alpha, beta
   (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), three-valued verdict,
-* ``reduce_qutrit_family`` runs the exact dyadic elimination for the
-  bundled signed-qutrit system and prints the contradiction, and
+* ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
+  coefficient stack, eliminates exactly on its (d, d) coefficient arrays
+  and prints the contradiction, and
 * ``certify_strict_nonseparability`` chains the pipeline end to end.
 
 Feasibility verdicts are evidence, not proof: the system is nonconvex and
@@ -84,15 +85,14 @@ class Mixture:
     """A classical ensemble of two-state vectors.
 
     ``components`` is a nonempty tuple of (weight, vector); weights are
-    finite, nonnegative and sum to one within 1e-9, all vectors share one
-    dim.
+    real numbers, not bools, finite, nonnegative and summing to one within
+    1e-9 (``measurement._check_weights``), all vectors share one dim.
     """
 
     components: tuple[tuple[float, TwoStateVector], ...]
 
     def __post_init__(self):
-        comps = tuple((float(w), v) for w, v in self.components)
-        _check_weights(comps)
+        comps = _check_weights(self.components)
         dim = comps[0][1].dim
         for _, v in comps:
             if v.dim != dim:
@@ -497,48 +497,35 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
 # (0, +-1, +-1/2, +-i/2), so the elimination below is exact in floating
 # point and its rendering is byte-stable.
 
-_Lin = dict  # {(k, l): complex} linear form over monomials m[k][l]
-
-_EXPECTED_CONSTRAINTS: tuple[_Lin, ...] = (
-    {(1, 1): 1.0, (2, 2): 1.0},
-    {(0, 0): 1.0, (2, 2): 1.0},
-    {(0, 0): 0.5, (0, 1): -0.5, (1, 0): -0.5, (1, 1): 0.5, (2, 2): 1.0},
-    {(0, 0): 0.5, (0, 1): -0.5j, (1, 0): 0.5j, (1, 1): 0.5, (2, 2): 1.0},
-)
-
-
-def _snap_half_gaussian(matrix: np.ndarray) -> _Lin:
-    """Snap a coefficient matrix to exact half-integer Gaussian entries."""
-    form: _Lin = {}
-    for k in range(matrix.shape[0]):
-        for l in range(matrix.shape[1]):
-            z = 2.0 * matrix[k, l]
-            re, im = round(z.real), round(z.imag)
-            if abs(z.real - re) > 1e-9 or abs(z.imag - im) > 1e-9:
-                raise ShapeMismatchError(
-                    f"coefficient {matrix[k, l]!r} is not a half-integer "
-                    "Gaussian number; exact reduction applies only to the "
-                    "bundled qutrit family"
-                )
-            if re or im:
-                form[(k, l)] = complex(re, im) / 2.0
-    return form
+#: The bundled system's (5, 3, 3) coefficient stack: the zero constraints
+#: of qutrit_family_1..4, in order, then the anchor m[0][0].
+_QUTRIT_STACK = np.array([
+    [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+    [[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1]],
+    [[0.5, -0.5j, 0], [0.5j, 0.5, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+], dtype=np.complex128)
 
 
-def _lin_combine(a: _Lin, b: _Lin, factor: complex) -> _Lin:
-    """a + factor * b with exact dyadic arithmetic, zeros dropped."""
-    out = dict(a)
-    for key, coeff in b.items():
-        val = out.get(key, 0.0) + factor * coeff
-        if val == 0:
-            out.pop(key, None)
-        else:
-            out[key] = val
-    return out
+def _snap_half_gaussian(coeffs: np.ndarray) -> np.ndarray:
+    """Snap an array of coefficients to exact half-integer Gaussian numbers:
+    each real and imaginary part of 2 * coeffs within 1e-9 of an integer,
+    ShapeMismatch otherwise."""
+    parts = np.stack([coeffs.real, coeffs.imag]) * 2.0
+    near = np.round(parts) + 0.0  # + 0.0: no signed zeros
+    if not np.all(np.abs(parts - near) <= 1e-9):
+        raise ShapeMismatchError(
+            "coefficients are not all half-integer Gaussian numbers; exact "
+            "reduction applies only to the bundled qutrit family")
+    return (near[0] + 1j * near[1]) / 2.0
 
 
-def _lin_scale(a: _Lin, factor: complex) -> _Lin:
-    return {key: factor * coeff for key, coeff in a.items()}
+def _form(coeffs: np.ndarray) -> dict[tuple[int, int], complex]:
+    """The linear form sum_kl coeffs[k, l] m[k][l] of a (d, d) array as
+    {(k, l): coefficient}, row-major, zero coefficients dropped."""
+    return {(int(k), int(l)): complex(coeffs[k, l])
+            for k, l in zip(*np.nonzero(coeffs))}
 
 
 def _coeff_str(z: complex) -> str:
@@ -557,7 +544,7 @@ def _coeff_str(z: complex) -> str:
     return f"({frac(z.real)}{'+' if z.imag > 0 else '-'}{frac(abs(z.imag))}*i)"
 
 
-def _lin_str(form: _Lin) -> str:
+def _lin_str(form: dict) -> str:
     parts = []
     for (k, l) in sorted(form):
         coeff = form[(k, l)]
@@ -583,17 +570,18 @@ class ReductionReport:
 
     ``equations`` are the snapped input constraints, ``reduced_equations``
     the four relations of the reduced system (m11 + m22, m00 + m22, m01,
-    m10, each equal to zero), and ``text`` the full plain-text derivation,
-    one equation per line.
+    m10, each equal to zero), both as {(k, l): coefficient} linear forms
+    over the monomials m[k][l], and ``text`` the full plain-text
+    derivation, one equation per line.
     """
 
-    equations: tuple[_Lin, ...]
-    reduced_equations: tuple[_Lin, ...]
+    equations: tuple[dict, ...]
+    reduced_equations: tuple[dict, ...]
     contradiction: bool
     text: str
 
     def to_json(self) -> dict:
-        def lin_json(form: _Lin) -> list:
+        def lin_json(form: dict) -> list:
             return [
                 [k, l, [form[(k, l)].real, form[(k, l)].imag]]
                 for (k, l) in sorted(form)
@@ -610,51 +598,36 @@ class ReductionReport:
 def reduce_qutrit_family(sys: ZeroConstraintSystem) -> ReductionReport:
     """Exact elimination showing the bundled qutrit system has no solution.
 
-    Applies only to the signed-qutrit demo system: dim 3, four two-outcome
-    measurements each contributing one zero constraint, anchor monomial
-    m[0][0].  Any other system raises ShapeMismatch.  The elimination is
-    carried out on the actual (snapped) constraint coefficients and every
+    One gate: the system's zero constraints, in order, then its anchor,
+    snapped to half-integer Gaussian numbers, must equal _QUTRIT_STACK;
+    any other system raises ShapeMismatch.  The derivation reads only these
+    coefficients, so the bundled family plus measurements with no zero
+    outcome (``identity_qutrit``, say) reduces to the same text.  The
+    elimination is carried out on the snapped coefficients and every
     intermediate is checked, so the emitted derivation is computed, not
     quoted.
     """
-    if sys.dim != 3 or len(sys.measurements) != 4:
+    stack = _snap_half_gaussian(np.concatenate(
+        [sys.constraint_matrices(), sys.anchor_matrix()[np.newaxis]]))
+    if not np.array_equal(stack, _QUTRIT_STACK):
         raise ShapeMismatchError(
-            "exact reduction applies only to the bundled qutrit family "
-            f"(got dim {sys.dim}, {len(sys.measurements)} measurements)"
-        )
-    if len(sys.zero_outcomes) != 4 or [mi for mi, _ in sys.zero_outcomes] != [0, 1, 2, 3]:
-        raise ShapeMismatchError(
-            "expected exactly one zero outcome per measurement, in order"
-        )
-    constraints = tuple(
-        _snap_half_gaussian(c) for c in sys.constraint_matrices()
-    )
-    if constraints != _EXPECTED_CONSTRAINTS:
-        raise ShapeMismatchError(
-            "constraint coefficients do not match the bundled qutrit family"
-        )
-    anchor = _snap_half_gaussian(sys.anchor_matrix())
-    if anchor != {(0, 0): 1.0}:
-        raise ShapeMismatchError(
-            f"anchor monomial is {_lin_str(anchor)}, expected m[0][0]"
-        )
-
-    c1, c2, c3, c4 = constraints
+            "coefficients do not match the bundled qutrit family (got "
+            f"{len(stack) - 1} zero constraints of dim {sys.dim})")
+    c1, c2, c3, c4, anchor = stack
     # Eliminate m[2][2] from the half-coefficient equations.
-    e3 = _lin_combine(_lin_combine(c3, c1, -0.5), c2, -0.5)
-    e4 = _lin_combine(_lin_combine(c4, c1, -0.5), c2, -0.5)
+    e3 = c3 - 0.5 * c1 - 0.5 * c2
+    e4 = c4 - 0.5 * c1 - 0.5 * c2
     # Solve the remaining 2x2 system for the off-diagonal monomials.
-    sum_eq = _lin_scale(e3, -2.0)            # m[0][1] + m[1][0] = 0
-    diff_eq = _lin_scale(e4, 2.0j)           # m[0][1] - m[1][0] = 0
-    m01 = _lin_scale(_lin_combine(sum_eq, diff_eq, 1.0), 0.5)
-    m10 = _lin_scale(_lin_combine(sum_eq, diff_eq, -1.0), 0.5)
-    reduced = (c1, c2, m01, m10)
-    derivation_ok = (
-        sum_eq == {(0, 1): 1.0, (1, 0): 1.0}
-        and diff_eq == {(0, 1): 1.0, (1, 0): -1.0}
-        and m01 == {(0, 1): 1.0}
-        and m10 == {(1, 0): 1.0}
-    )
+    sum_eq = -2.0 * e3                       # m[0][1] + m[1][0] = 0
+    diff_eq = 2.0j * e4                      # m[0][1] - m[1][0] = 0
+    m01 = 0.5 * (sum_eq + diff_eq)
+    m10 = 0.5 * (sum_eq - diff_eq)
+    c1, c2, c3, c4, anchor, e3, e4, sum_eq, diff_eq, m01, m10 = map(
+        _form, (c1, c2, c3, c4, anchor, e3, e4, sum_eq, diff_eq, m01, m10))
+    constraints = (c1, c2, c3, c4)
+    derivation_ok = (sum_eq, diff_eq, m01, m10) == (
+        {(0, 1): 1, (1, 0): 1}, {(0, 1): 1, (1, 0): -1}, {(0, 1): 1},
+        {(1, 0): 1})
 
     lines = [
         "bilinear zero-constraint system over monomials m[k][l] = alpha_k*beta_l:",
@@ -680,7 +653,7 @@ def reduce_qutrit_family(sys: ZeroConstraintSystem) -> ReductionReport:
         "conclusion: no separable two-state vector satisfies every zero",
         "  constraint while forming a story on the anchor outcome",
     ]
-    return ReductionReport(constraints, reduced, derivation_ok,
+    return ReductionReport(constraints, (c1, c2, m01, m10), derivation_ok,
                            "\n".join(lines) + "\n")
 
 

@@ -60,7 +60,7 @@ class NoWitnessError(TwinspaceError):
     input near the case boundaries)."""
 
 
-class KernelDimensionError(TwinspaceError):
+class KernelDimensionError(DimensionMismatchError):
     """A vector and a null subspace live in spaces of different dimension;
     raised only by ``membership_in_null``."""
 

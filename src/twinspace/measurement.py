@@ -48,6 +48,7 @@ from .core import (
     _frozen,
     _integer,
     _norm,
+    _real,
     _rng,
     _square,
     _unchecked,
@@ -359,18 +360,23 @@ def forms_story(v: TwoStateVector, m: Measurement) -> bool:
     return _story_magnitudes(v, m)[1]
 
 
-def _check_weights(components) -> None:
+def _check_weights(components) -> tuple:
     """The one mixture-weights rule on (weight, ...) components: at least
-    one, each weight in [0, inf) (so not NaN), the total one within 1e-9."""
+    one, each weight a Python or numpy real number, not a bool, in
+    [0, inf) (so not NaN), the total one within 1e-9.  Returns the
+    components with float weights."""
     if not components:
         raise ShapeMismatchError("mixture needs at least one component")
+    comps = tuple((_real(w, "mixture weight"), *rest)
+                  for w, *rest in components)
     total = 0.0
-    for w, *_ in components:
+    for w, *_ in comps:
         if not 0.0 <= w < math.inf:
             raise ShapeMismatchError(f"mixture weight {w!r} not in [0, inf)")
         total += w
     if abs(total - 1.0) > 1e-9:
         raise ShapeMismatchError(f"mixture weights sum to {total!r}, not 1")
+    return comps
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (StateVector, TwoStateVector, _check_unit, _count, _rng,
-                   _unchecked)
+from .core import (StateVector, TwoStateVector, _check_unit, _count, _real,
+                   _rng, _unchecked)
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -69,8 +69,7 @@ def _check_experiment(exp) -> tuple:
     its components (one separable vector each); returns the components
     with float weights."""
     measurement = exp.measurement
-    comps = tuple((float(w), pre, post) for w, pre, post in exp.components)
-    _check_weights(comps)
+    comps = _check_weights(exp.components)
     for _, pre, post in comps:
         if pre.dim != measurement.dim or post.dim != measurement.dim:
             raise DimensionMismatchError(
@@ -301,6 +300,7 @@ def _build_validation(counts: np.ndarray, trials: int,
 
 def _validate(exp: PrePostExperiment | MixtureExperiment,
               sigma_bound: float) -> AblValidation:
+    sigma_bound = _real(sigma_bound, "sigma bound")
     if not 0.0 < sigma_bound < math.inf:
         raise ShapeMismatchError(
             f"sigma bound {sigma_bound!r} not in (0, inf)")
@@ -327,8 +327,9 @@ def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidat
     successes at the configured trial count (InsufficientTrialsError, a
     ValueError, otherwise).
     Passes iff every outcome frequency deviates by less than
-    ``sigma_bound`` binomial standard errors; a bound that is not finite
-    and positive is refused (ShapeMismatchError).
+    ``sigma_bound`` binomial standard errors; a bound that is a bool, not
+    a real number, or not finite and positive is refused
+    (ShapeMismatchError).
     """
     return _validate(exp, sigma_bound)
 
@@ -360,5 +361,6 @@ def validate_mixture_abl(mexp: MixtureExperiment,
                          sigma_bound: float = 4.0) -> AblValidation:
     """Simulate a mixture and compare against the success-weighted rule
     sum_c w_c |A_i(v_c)|^2 over the story-forming components, normalized
-    over outcomes i: exactly what ``simulate_mixture`` samples."""
+    over outcomes i: exactly what ``simulate_mixture`` samples.
+    ``sigma_bound`` follows the rule of ``validate_abl``."""
     return _validate(mexp, sigma_bound)

@@ -45,11 +45,13 @@ class Workspace:
         self.vectors: dict[str, TwoStateVector] = dict(vectors or {})
         self.measurements: dict[str, Measurement] = dict(measurements or {})
         self.mixture_refs: dict[str, tuple[tuple[float, str], ...]] = {
-            name: tuple((float(w), ref) for w, ref in comps)
-            for name, comps in dict(mixture_refs or {}).items()
+            name: tuple(refs) for name, refs in dict(mixture_refs or {}).items()
         }
-        for name in self.mixture_refs:
-            self.mixture(name)  # validates refs, weights, dims
+        for name, refs in self.mixture_refs.items():
+            # Resolving checks refs, weights and dims; keep its float weights.
+            weights = [w for w, _ in self.mixture(name).components]
+            self.mixture_refs[name] = tuple(
+                (w, ref) for w, (_, ref) in zip(weights, refs))
 
     # -- resolution ---------------------------------------------------------
 
@@ -73,6 +75,8 @@ class Workspace:
         return self._lookup(self.measurements, name, "measurement")
 
     def mixture(self, name: str) -> Mixture:
+        """The named mixture; any fault, a weight that the one weight rule
+        refuses included, is a WorkspaceError."""
         refs = self._lookup(self.mixture_refs, name, "mixture")
         try:
             return Mixture(tuple((w, self.vector(ref)) for w, ref in refs))
@@ -166,7 +170,7 @@ def _parse_entries(obj):
         for name, entry in sorted(table.items()):
             try:
                 if section == "mixtures":
-                    value = tuple((float(c["weight"]), str(c["vector"]))
+                    value = tuple((c["weight"], str(c["vector"]))
                                   for c in entry["components"])
                     Mixture(tuple(
                         (w, Workspace._lookup(vectors, ref, "vector"))

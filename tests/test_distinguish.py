@@ -1,6 +1,9 @@
 """Mixtures, replication, zero-constraint systems, separable feasibility,
 and the exact qutrit reduction."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,22 @@ def test_mixture_weights_must_sum_to_one():
         Mixture(())
     with pytest.raises(ShapeMismatchError):
         Mixture(((np.nan, E00), (1.0, E11)))
+    with pytest.raises(ShapeMismatchError, match="inf"):
+        Mixture(((10 ** 400, E00),))  # beyond a double: an infinity
+
+
+@pytest.mark.parametrize("weight", ["a", "0.5", None, 1 + 0j, True,
+                                    np.bool_(True), [1.0]])
+def test_mixture_refuses_a_weight_that_is_no_real_number(weight):
+    """One weight rule: a Python or numpy real number, not a bool."""
+    with pytest.raises(ShapeMismatchError, match="real number"):
+        Mixture(((weight, E00),))
+
+
+def test_mixture_converts_numpy_weights_to_float():
+    mix = Mixture(((np.float32(0.5), E00), (np.int64(0), E11),
+                   (0.5, E01)))
+    assert [type(w) for w, _ in mix.components] == [float, float, float]
 
 
 def test_mixture_rejects_mixed_dims():
@@ -662,6 +681,29 @@ def test_reduction_rejects_other_systems():
         reduce_qutrit_family(truncated)
 
 
+@pytest.mark.parametrize("family", [
+    FAMILY[:3],
+    FAMILY[::-1],  # the same constraints in another order and anchor
+    FAMILY[1:] + FAMILY[:1],
+], ids=["first-three", "reversed", "rotated"])
+def test_reduction_rejects_another_coefficient_stack(family):
+    """One gate: the snapped stack must equal the bundled one."""
+    system = zero_constraints(QUTRIT_SIGNED, family)
+    with pytest.raises(ShapeMismatchError, match="bundled qutrit family"):
+        reduce_qutrit_family(system)
+
+
+def test_reduction_of_a_superset_family_gives_the_same_text():
+    """The derivation depends on the coefficient stack alone: a measurement
+    with no zero outcome adds no constraint and leaves the anchor."""
+    superset = FAMILY + (WS.measurement("identity_qutrit"),)
+    system = zero_constraints(QUTRIT_SIGNED, superset)
+    assert system.zero_outcomes == qutrit_system().zero_outcomes
+    report = reduce_qutrit_family(system)
+    assert report.contradiction
+    assert report.text == reduce_qutrit_family(qutrit_system()).text
+
+
 def test_reduction_rejects_non_dyadic_coefficients():
     # a rotated family produces irrational projector entries
     s = StateVector.normalized([1.0, 2.0, 0.0])
@@ -681,6 +723,15 @@ def test_reduction_json_shape():
     assert obj["contradiction"] is True
     assert len(obj["equations"]) == 4
     assert obj["text"].startswith("bilinear zero-constraint system")
+
+
+def test_reduction_json_is_pinned():
+    """Every coefficient, signed zeros included, in row-major order."""
+    obj = reduce_qutrit_family(qutrit_system()).to_json()
+    digest = hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == ("35f17e79229ccb3631f5042dc4cb586b"
+                      "1faa9dc66fc02eb0bccb075faf29b91e")
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,24 @@ def test_validation_refuses_meaningless_sigma_bound(bound):
         validate_mixture_abl(mexp, bound)
 
 
+@pytest.mark.parametrize("bound", ["4", None, True, 4 + 0j])
+def test_validation_refuses_a_sigma_bound_that_is_no_real_number(bound):
+    """A bool is no bound: True used to run a 1-sigma check."""
+    with pytest.raises(ShapeMismatchError, match="real number"):
+        validate_abl(GOLDEN, bound)
+    mexp = MixtureExperiment(((0.5, PLUS, PLUS), (0.5, KET0, KET1)),
+                             DIAGONAL, 20000, 0)
+    with pytest.raises(ShapeMismatchError, match="real number"):
+        validate_mixture_abl(mexp, bound)
+
+
+@pytest.mark.parametrize("weight", ["1", "0.5", None, 1 + 0j, True])
+def test_mixture_experiment_refuses_a_weight_that_is_no_real_number(weight):
+    with pytest.raises(ShapeMismatchError, match="real number"):
+        MixtureExperiment(((weight, KET0, KET1), (0.5, PLUS, PLUS)),
+                          DIAGONAL, 1000, 0)
+
+
 def test_simulation_refuses_a_negative_seed():
     """Refused when the experiment is built, so no simulation can start."""
     with pytest.raises(ShapeMismatchError, match="seed.*-1"):

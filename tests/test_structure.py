@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twinspace import (
     MAX_DIM,
+    DimensionMismatchError,
     KernelDimensionError,
     Measurement,
     NotAStoryError,
@@ -261,6 +262,13 @@ def test_storyless_vectors_are_traceless():
 def test_membership_dim_mismatch():
     ns = null_subspace(random_measurement(2, 2, 0))
     with pytest.raises(KernelDimensionError):
+        membership_in_null(random_two_state(3), ns)
+
+
+def test_membership_dim_mismatch_is_a_dimension_mismatch():
+    """Caught by the same except clause as every other dimension fault."""
+    ns = null_subspace(random_measurement(2, 2, 0))
+    with pytest.raises(DimensionMismatchError):
         membership_in_null(random_two_state(3), ns)
 
 

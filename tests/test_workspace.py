@@ -317,3 +317,28 @@ def test_every_unknown_section_is_reported(tmp_path):
     assert validate_workspace_file(path) == [
         ("eggs", "", False, "WorkspaceError: unknown section"),
         ("spam", "", False, "WorkspaceError: unknown section")]
+
+
+@pytest.mark.parametrize("weight", [True, "1", None, [1.0]])
+def test_mixture_weight_that_is_no_real_number_is_refused(weight, tmp_path):
+    """JSON true and "1" used to load as weight 1.0."""
+    doc = json.loads(builtin_workspace().dumps())
+    doc["mixtures"]["odd"] = {"components": [
+        {"weight": weight, "vector": "ket0_bra0"}]}
+    text = json.dumps(doc)
+    with pytest.raises(WorkspaceError,
+                       match="mixture 'odd': mixture weight must be a real"):
+        Workspace.loads(text)
+    path = tmp_path / "ws.json"
+    path.write_text(text)
+    rows = [row for row in validate_workspace_file(path) if row[1] == "odd"]
+    assert [row[:3] for row in rows] == [("mixtures", "odd", False)]
+    assert "real number" in rows[0][3]
+
+
+def test_integer_mixture_weights_dump_as_floats():
+    doc = {"vectors": {"v": TwoStateVector(np.eye(2)).to_json()},
+           "mixtures": {"m": {"components": [{"weight": 1, "vector": "v"}]}}}
+    ws = Workspace.from_json_dict(doc)
+    assert ws.mixture_refs["m"] == ((1.0, "v"),)
+    assert '"weight": 1.0' in ws.dumps()
