@@ -3,9 +3,14 @@
 Commands: abl, story, find-story, nullspace, distinguish, feasibility,
 reproduce, montecarlo, validate.  Objects are resolved by name from a
 workspace JSON file (``--workspace``), defaulting to the bundled demo
-inventory, which reproduce always uses.  Human-readable tables go to
-stdout; ``--json`` switches to a canonical JSON report (sorted keys),
-byte-identical across repeated runs with the same inputs.
+inventory, which reproduce always uses.
+
+Output contract: a handler computes and returns its ``Report``, (exit
+code, JSON payload, text lines), and never prints; ``main`` is the one
+writer of stdout.  It prints the text lines joined by newlines or, with
+``--json``, the payload under the parser's ``"command"`` name as canonical
+JSON (sorted keys, two-space indent), byte-identical across repeated runs
+with the same inputs.  Errors go to stderr as one line, with no report.
 
 Exit codes: 0 success/PASS, 1 input or resolution error, 2 no story,
 3 check failure.
@@ -52,15 +57,14 @@ EXIT_INPUT = 1
 EXIT_NO_STORY = 2
 EXIT_CHECK = 3
 
+#: What a handler returns: (exit code, JSON payload, text lines).
+Report = tuple[int, dict, list[str]]
+
 
 def _load_workspace(args) -> Workspace:
     if args.workspace is None:
         return builtin_workspace()
     return Workspace.load(args.workspace)
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _labels(measurement) -> list[str]:
@@ -69,155 +73,110 @@ def _labels(measurement) -> list[str]:
     return [str(i) for i in range(measurement.num_outcomes)]
 
 
-def cmd_abl(args) -> int:
+def cmd_abl(args) -> Report:
     ws = _load_workspace(args)
-    v = ws.vector(args.vector)
     m = ws.measurement(args.measurement)
-    dist = abl_probabilities(v, m)
-    if args.json:
-        _emit_json({
-            "command": "abl",
-            "vector": args.vector,
-            "measurement": args.measurement,
-            "labels": _labels(m),
-            "probabilities": dist.to_json(),
-        })
-    else:
-        print(f"{'outcome':<10}{'probability':>16}")
-        for name, p in zip(_labels(m), dist):
-            print(f"{name:<10}{p:>16.12f}")
-    return EXIT_OK
+    dist = abl_probabilities(ws.vector(args.vector), m)
+    return EXIT_OK, {"vector": args.vector, "measurement": args.measurement,
+                     "labels": _labels(m), "probabilities": dist.to_json()}, [
+        f"{'outcome':<10}{'probability':>16}",
+        *(f"{name:<10}{p:>16.12f}" for name, p in zip(_labels(m), dist))]
 
 
-def cmd_story(args) -> int:
+def cmd_story(args) -> Report:
     ws = _load_workspace(args)
     verdict = forms_story(ws.vector(args.vector),
                           ws.measurement(args.measurement))
-    if args.json:
-        _emit_json({
-            "command": "story",
-            "vector": args.vector,
-            "measurement": args.measurement,
-            "forms_story": verdict,
-        })
-    else:
-        print(f"forms story: {'true' if verdict else 'false'}")
-    return EXIT_OK
+    return EXIT_OK, {"vector": args.vector, "measurement": args.measurement,
+                     "forms_story": verdict}, [
+        f"forms story: {'true' if verdict else 'false'}"]
 
 
-def cmd_find_story(args) -> int:
+def cmd_find_story(args) -> Report:
     ws = _load_workspace(args)
     cert = find_story_measurement(ws.vector(args.vector))
-    if args.json:
-        _emit_json({"command": "find-story", "vector": args.vector,
-                    "certificate": cert.to_json()})
-    else:
-        print(f"case: {cert.case.value}")
-        print(f"amplitude magnitude: {cert.amplitude_magnitude:.12g}")
-        for i, z in enumerate(cert.witness.amplitudes):
-            print(f"witness[{i}] = {z.real:+.12f}{z.imag:+.12f}j")
-    return EXIT_OK
+    return EXIT_OK, {"vector": args.vector, "certificate": cert.to_json()}, [
+        f"case: {cert.case.value}",
+        f"amplitude magnitude: {cert.amplitude_magnitude:.12g}",
+        *(f"witness[{i}] = {z.real:+.12f}{z.imag:+.12f}j"
+          for i, z in enumerate(cert.witness.amplitudes))]
 
 
-def cmd_nullspace(args) -> int:
+def cmd_nullspace(args) -> Report:
     ws = _load_workspace(args)
     m = ws.measurement(args.measurement)
-    ns = NullSubspace(m)  # the basis, an SVD, is read only for --json
-    if args.json:
-        _emit_json({
-            "command": "nullspace",
-            "measurement": args.measurement,
-            "dim": m.dim,
-            "num_outcomes": m.num_outcomes,
-            "null_dimension": ns.dim,
-            "basis": [b.to_json() for b in ns.basis],
-        })
-    else:
-        print(f"dim^2 - outcomes = {m.dim ** 2} - {m.num_outcomes} = {ns.dim}")
-        print(f"basis: {ns.dim} orthonormal two-state vectors "
-              "(use --json for entries)")
-    return EXIT_OK
+    ns = NullSubspace(m)
+    payload = {"measurement": args.measurement, "dim": m.dim,
+               "num_outcomes": m.num_outcomes, "null_dimension": ns.dim}
+    if args.json:  # the basis, an SVD, is read only for --json
+        payload["basis"] = [b.to_json() for b in ns.basis]
+    return EXIT_OK, payload, [
+        f"dim^2 - outcomes = {m.dim ** 2} - {m.num_outcomes} = {ns.dim}",
+        f"basis: {ns.dim} orthonormal two-state vectors "
+        "(use --json for entries)"]
 
 
-def cmd_distinguish(args) -> int:
+def cmd_distinguish(args) -> Report:
     ws = _load_workspace(args)
-    a = ws.mixture_or_point(args.mixture_a)
-    b = ws.mixture_or_point(args.mixture_b)
     result = search_distinguishing_measurement(
-        a, b, args.trials, args.outcomes, args.seed
+        ws.mixture_or_point(args.mixture_a),
+        ws.mixture_or_point(args.mixture_b),
+        args.trials, args.outcomes, args.seed,
     )
-    if args.json:
-        payload = {"command": "distinguish", "mixture_a": args.mixture_a,
-                   "mixture_b": args.mixture_b, "trials": args.trials,
-                   "seed": args.seed}
-        payload.update(result.to_json() if result is not None
-                       else {"found": False})
-        _emit_json(payload)
-    elif result is None:
-        print(f"indistinguishable after {args.trials} trials "
-              f"(every gap <= {DEFAULT_TOL:g})")
-    else:
-        print(f"distinguishing measurement found at trial "
-              f"{result.trial_index} (gap {result.gap:.6g})")
-    return EXIT_OK
+    payload = {"mixture_a": args.mixture_a, "mixture_b": args.mixture_b,
+               "trials": args.trials, "seed": args.seed}
+    if result is None:
+        return EXIT_OK, {**payload, "found": False}, [
+            f"indistinguishable after {args.trials} trials "
+            f"(every gap <= {DEFAULT_TOL:g})"]
+    return EXIT_OK, {**payload, **result.to_json()}, [
+        f"distinguishing measurement found at trial "
+        f"{result.trial_index} (gap {result.gap:.6g})"]
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> Report:
     ws = _load_workspace(args)
-    target = ws.vector(args.vector)
-    measurements = [ws.measurement(name) for name in args.measurements]
     report = certify_strict_nonseparability(
-        target, measurements, args.starts, args.seed
+        ws.vector(args.vector),
+        [ws.measurement(name) for name in args.measurements],
+        args.starts, args.seed,
     )
-    if args.json:
-        _emit_json({"command": "feasibility", "vector": args.vector,
-                    "measurements": list(args.measurements),
-                    **report.to_json()})
-    else:
-        print(f"zero constraints: {len(report.system.zero_outcomes)} "
-              f"(anchor: measurement {report.system.anchor[0]}, "
-              f"outcome {report.system.anchor[1]})")
-        print(f"verdict: {report.verdict.value}")
-        print(f"best residual: {report.feasibility.best_residual:.6g} "
-              f"over {report.feasibility.starts} starts")
-        print(report.message)
-    return EXIT_OK
+    return EXIT_OK, {"vector": args.vector,
+                     "measurements": list(args.measurements),
+                     **report.to_json()}, [
+        f"zero constraints: {len(report.system.zero_outcomes)} "
+        f"(anchor: measurement {report.system.anchor[0]}, "
+        f"outcome {report.system.anchor[1]})",
+        f"verdict: {report.verdict.value}",
+        f"best residual: {report.feasibility.best_residual:.6g} "
+        f"over {report.feasibility.starts} starts",
+        report.message]
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> Report:
     ws = _load_workspace(args)
     exp = PrePostExperiment(
         ws.state(args.pre), ws.state(args.post),
         ws.measurement(args.measurement), args.trials, args.seed,
     )
     report = validate_abl(exp, args.sigma_bound)
-    if args.json:
-        _emit_json({"command": "montecarlo", "pre": args.pre,
-                    "post": args.post, "measurement": args.measurement,
-                    **report.to_json()})
-    else:
-        print(report.format_table())
-    return EXIT_OK if report.passed else EXIT_CHECK
+    return EXIT_OK if report.passed else EXIT_CHECK, {
+        "pre": args.pre, "post": args.post, "measurement": args.measurement,
+        **report.to_json()}, [report.format_table()]
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     rows = (_report(builtin_workspace().to_json_dict())
             if args.workspace is None
             else validate_workspace_file(args.workspace))
     ok = all(r[2] for r in rows)
-    if args.json:
-        _emit_json({
-            "command": "validate",
-            "entries": [{"section": s, "name": n, "ok": good, "message": msg}
-                        for s, n, good, msg in rows],
-            "ok": ok,
-        })
-    else:
-        for section, name, good, msg in rows:
-            status = "ok" if good else f"FAIL: {msg}"
-            print(f"{section}/{name}: {status}")
-        print("workspace valid" if ok else "workspace INVALID")
-    return EXIT_OK if ok else EXIT_INPUT
+    return EXIT_OK if ok else EXIT_INPUT, {
+        "entries": [{"section": s, "name": n, "ok": good, "message": msg}
+                    for s, n, good, msg in rows],
+        "ok": ok}, [
+        *(f"{section}/{name}: {'ok' if good else f'FAIL: {msg}'}"
+          for section, name, good, msg in rows),
+        "workspace valid" if ok else "workspace INVALID"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +277,17 @@ def _reproduce_3(seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> Report:
     pipelines = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3}
     checks = pipelines[args.example](args.seed)
     passed = all(ok for _, ok, _ in checks)
-    if args.json:
-        _emit_json({
-            "command": "reproduce",
-            "example": args.example,
-            "checks": [{"name": n, "ok": ok, "detail": d}
-                       for n, ok, d in checks],
-            "pass": passed,
-        })
-    else:
-        for name, ok, detail in checks:
-            print(f"[{'ok' if ok else 'FAIL'}] {name} ({detail})")
-        print("PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_CHECK
+    return EXIT_OK if passed else EXIT_CHECK, {
+        "example": args.example,
+        "checks": [{"name": n, "ok": ok, "detail": d}
+                   for n, ok, d in checks],
+        "pass": passed,
+    }, [f"[{'ok' if ok else 'FAIL'}] {name} ({detail})"
+        for name, ok, detail in checks] + ["PASS" if passed else "FAIL"]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, text = args.handler(args)
     except (NotAStoryError, NoStoryInMixtureError) as err:
         print(f"no story: {err}", file=sys.stderr)
         return EXIT_NO_STORY
@@ -429,6 +382,12 @@ def main(argv=None) -> int:
     except (TwinspaceError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    if args.json:
+        print(json.dumps({"command": args.command, **payload}, indent=2,
+                         sort_keys=True))
+    else:
+        print("\n".join(text))
+    return code
 
 
 if __name__ == "__main__":

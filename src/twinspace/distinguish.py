@@ -84,15 +84,16 @@ _SCAN_BATCH = 1 << 16
 class Mixture:
     """A classical ensemble of two-state vectors.
 
-    ``components`` is a nonempty tuple of (weight, vector); weights are
-    real numbers, not bools, finite, nonnegative and summing to one within
-    1e-9 (``measurement._check_weights``), all vectors share one dim.
+    ``components`` is a nonempty tuple of (weight, TwoStateVector) pairs;
+    weights are real numbers, not bools, finite, nonnegative and summing to
+    one within 1e-9 (``measurement._check_weights``), all vectors share one
+    dim.
     """
 
     components: tuple[tuple[float, TwoStateVector], ...]
 
     def __post_init__(self):
-        comps = _check_weights(self.components)
+        comps = _check_weights(self.components, TwoStateVector)
         dim = comps[0][1].dim
         for _, v in comps:
             if v.dim != dim:

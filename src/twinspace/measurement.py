@@ -360,23 +360,30 @@ def forms_story(v: TwoStateVector, m: Measurement) -> bool:
     return _story_magnitudes(v, m)[1]
 
 
-def _check_weights(components) -> tuple:
-    """The one mixture-weights rule on (weight, ...) components: at least
-    one, each weight a Python or numpy real number, not a bool, in
-    [0, inf) (so not NaN), the total one within 1e-9.  Returns the
-    components with float weights."""
+def _check_weights(components, *kinds: type) -> tuple:
+    """The one mixture-component rule: at least one component, each a
+    (weight, *parts) tuple or list whose parts are one instance of each of
+    ``kinds`` in order (a Mixture's a TwoStateVector, an experiment's two
+    StateVectors), each weight a Python or numpy real number, not a bool,
+    in [0, inf) (so not NaN), the total one within 1e-9.  Returns the
+    components as tuples with float weights."""
     if not components:
         raise ShapeMismatchError("mixture needs at least one component")
-    comps = tuple((_real(w, "mixture weight"), *rest)
-                  for w, *rest in components)
-    total = 0.0
-    for w, *_ in comps:
+    comps, total = [], 0.0
+    for i, comp in enumerate(components):
+        if not (isinstance(comp, (tuple, list)) and len(comp) == len(kinds) + 1
+                and all(map(isinstance, comp[1:], kinds))):
+            raise ShapeMismatchError(
+                f"mixture component {i} is not a (weight, "
+                f"{', '.join(k.__name__ for k in kinds)}) tuple")
+        w = _real(comp[0], "mixture weight")
         if not 0.0 <= w < math.inf:
             raise ShapeMismatchError(f"mixture weight {w!r} not in [0, inf)")
         total += w
+        comps.append((w, *comp[1:]))
     if abs(total - 1.0) > 1e-9:
         raise ShapeMismatchError(f"mixture weights sum to {total!r}, not 1")
-    return comps
+    return tuple(comps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,14 +6,17 @@ then post-select on ``post``.  Each simulated trial samples outcome i with
 probability p_i = <pre|P_i|pre>, collapses to P_i|pre>/||.||, and accepts the
 trial with probability q_i = |A_i|^2 / p_i, where A_i = <post|P_i|pre>.
 
-A mixture experiment draws its (pre, post) pair per trial from classical
-weights; a ``PrePostExperiment`` is the one-component mixture.  Building
-either runs the one per-component pass of ``measurement`` once, on one
-separable vector v_c = |pre_c> (x) <post_c| per component, and stores its
-rows (c, w_c, |A(v_c)|).  The story gate, the predictor and the sampler's
-acceptances all read those rows (q_i = 0 off them).  Post-selection weights
-each component by its success rate S_c = sum_j |A_j(v_c)|^2, so accepted
-outcome frequencies follow the success-weighted rule
+There is one experiment type, ``MixtureExperiment``: it draws its (pre,
+post) pair per trial from classical weights.  ``PrePostExperiment`` is its
+one-component subclass, and ``simulate`` and ``validate_abl`` serve both
+(``simulate_mixture`` and ``validate_mixture_abl`` are other names for
+them).  Building an experiment runs the one per-component pass of
+``measurement`` once, on one separable vector v_c = |pre_c> (x) <post_c|
+per component, and stores its rows (c, w_c, |A(v_c)|).  The story gate,
+the predictor and the sampler's acceptances all read those rows (q_i = 0
+off them).  Post-selection weights each component by its success rate
+S_c = sum_j |A_j(v_c)|^2, so accepted outcome frequencies follow the
+success-weighted rule
 
     Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2
 
@@ -64,56 +67,60 @@ def _pair_vector(pre: StateVector, post: StateVector) -> TwoStateVector:
                       np.outer(pre.amplitudes, post.amplitudes.conj()))
 
 
-def _check_experiment(exp) -> tuple:
-    """The one experiment check, which stores on ``exp`` the story rows of
-    its components (one separable vector each); returns the components
-    with float weights."""
-    measurement = exp.measurement
-    comps = _check_weights(exp.components)
-    for _, pre, post in comps:
-        if pre.dim != measurement.dim or post.dim != measurement.dim:
-            raise DimensionMismatchError(
-                f"state dims ({pre.dim}, {post.dim}) != "
-                f"measurement dim {measurement.dim}"
-            )
-        _check_unit(pre, "pre")
-        _check_unit(post, "post")
-    _count(exp.trials, "trials")
-    _rng(exp.seed, 0)  # block 0's seeding: a bad seed fails here
-    rows = _story_rows([(w, _pair_vector(pre, post))
-                        for w, pre, post in comps], measurement)
-    if not rows:
-        raise NotAStoryError(
-            "|pre> (x) <post| forms no story with the measurement; "
-            "post-selection would never succeed"
-        )
-    object.__setattr__(exp, "_rows", rows)
-    return comps
-
-
 @dataclass(frozen=True, eq=False)
-class PrePostExperiment:
-    """One pre-selection / measurement / post-selection experiment.
+class MixtureExperiment:
+    """Per-trial draw of a (pre, post) pair from classical weights.
 
-    ``pre`` and ``post`` are unit vectors of the measurement's dimension;
-    the separable vector |pre> (x) <post| must form a story with the
-    measurement, otherwise no trial can ever be post-selected on an
-    outcome (NotAStory).
+    ``components`` are (weight, pre, post) under the one component rule
+    (``measurement._check_weights``), pre and post unit states of the
+    measurement's dimension.  Some |pre> (x) <post| must form a story with
+    the measurement, or no trial is ever post-selected (NotAStory).
     """
 
-    pre: StateVector
-    post: StateVector
+    components: tuple[tuple[float, StateVector, StateVector], ...]
     measurement: Measurement
     trials: int
     seed: int
 
     def __post_init__(self):
-        _check_experiment(self)
+        comps = _check_weights(self.components, StateVector, StateVector)
+        dim = self.measurement.dim
+        for _, pre, post in comps:
+            if pre.dim != dim or post.dim != dim:
+                raise DimensionMismatchError(
+                    f"state dims ({pre.dim}, {post.dim}) != "
+                    f"measurement dim {dim}"
+                )
+            _check_unit(pre, "pre")
+            _check_unit(post, "post")
+        _count(self.trials, "trials")
+        _rng(self.seed, 0)  # block 0's seeding: a bad seed fails here
+        rows = _story_rows([(w, _pair_vector(pre, post))
+                            for w, pre, post in comps], self.measurement)
+        if not rows:
+            raise NotAStoryError(
+                "|pre> (x) <post| forms no story with the measurement; "
+                "post-selection would never succeed"
+            )
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_rows", rows)
+
+
+class PrePostExperiment(MixtureExperiment):
+    """One pre-selection / measurement / post-selection experiment: the
+    one-component mixture ((1.0, pre, post),), under the same checks."""
+
+    def __init__(self, pre: StateVector, post: StateVector,
+                 measurement: Measurement, trials: int, seed: int):
+        super().__init__(((1.0, pre, post),), measurement, trials, seed)
 
     @property
-    def components(self) -> tuple[tuple[float, StateVector, StateVector], ...]:
-        """The experiment as a one-component mixture."""
-        return ((1.0, self.pre, self.post),)
+    def pre(self) -> StateVector:
+        return self.components[0][1]
+
+    @property
+    def post(self) -> StateVector:
+        return self.components[0][2]
 
     def story_vector(self) -> TwoStateVector:
         """The separable two-state vector |pre> (x) <post|."""
@@ -148,7 +155,7 @@ def merge_logs(a: TrialLog, b: TrialLog) -> TrialLog:
     return TrialLog(a.outcome_counts + b.outcome_counts, a.trials + b.trials)
 
 
-def joint_probabilities(exp: PrePostExperiment) -> np.ndarray:
+def joint_probabilities(exp: MixtureExperiment) -> np.ndarray:
     """Per-outcome probability of (outcome AND successful post-selection):
     the success-weighted rule sum_c w_c |A_i(v_c)|^2 over the story rows."""
     joint = np.zeros(exp.measurement.num_outcomes)
@@ -157,12 +164,19 @@ def joint_probabilities(exp: PrePostExperiment) -> np.ndarray:
     return joint
 
 
-def success_probability(exp: PrePostExperiment) -> float:
+def success_probability(exp: MixtureExperiment) -> float:
     """Predicted post-selection success rate (sum of joint probabilities)."""
     return float(np.sum(joint_probabilities(exp)))
 
 
-def _sample(exp: PrePostExperiment | MixtureExperiment) -> TrialLog:
+def simulate(exp: MixtureExperiment) -> TrialLog:
+    """Run the experiment, the (pre, post) pair redrawn from the weights
+    per trial; returns joint success counts per outcome, which follow the
+    success-weighted rule (module docstring).  Also ``simulate_mixture``.
+
+    Deterministic in the experiment seed, and identical to merging
+    per-block runs because block b always draws from (seed, b).
+    """
     stacked = exp.measurement._stacked
     k = stacked.shape[0]
     weights = np.array([w for w, _, _ in exp.components])
@@ -197,13 +211,8 @@ def _sample(exp: PrePostExperiment | MixtureExperiment) -> TrialLog:
     return TrialLog(counts, exp.trials)
 
 
-def simulate(exp: PrePostExperiment) -> TrialLog:
-    """Run the experiment; returns joint success counts per outcome.
-
-    Deterministic in the experiment seed, and identical to merging
-    per-block runs because block b always draws from (seed, b).
-    """
-    return _sample(exp)
+#: The mixture name of ``simulate``, which samples every experiment.
+simulate_mixture = simulate
 
 
 def empirical_distribution(log: TrialLog) -> OutcomeDistribution:
@@ -298,8 +307,21 @@ def _build_validation(counts: np.ndarray, trials: int,
     return AblValidation(tuple(rows), trials, successes, sigma_bound)
 
 
-def _validate(exp: PrePostExperiment | MixtureExperiment,
-              sigma_bound: float) -> AblValidation:
+def validate_abl(exp: MixtureExperiment,
+                 sigma_bound: float = 4.0) -> AblValidation:
+    """Simulate and compare against the success-weighted rule
+    sum_c w_c |A_i(v_c)|^2 over the story rows, normalized over outcomes
+    i: exactly what ``simulate`` samples, and for one pair the ABL
+    probabilities of its story.  Also ``validate_mixture_abl``.
+
+    Requires every predicted nonzero outcome to expect at least 100
+    successes at the configured trial count (InsufficientTrialsError, a
+    ValueError, otherwise).
+    Passes iff every outcome frequency deviates by less than
+    ``sigma_bound`` binomial standard errors; a bound that is a bool, not
+    a real number, or not finite and positive is refused
+    (ShapeMismatchError).
+    """
     sigma_bound = _real(sigma_bound, "sigma bound")
     if not 0.0 < sigma_bound < math.inf:
         raise ShapeMismatchError(
@@ -314,53 +336,11 @@ def _validate(exp: PrePostExperiment | MixtureExperiment,
             f"{exp.trials} trials; need >= 100 for the sigma bound to be "
             "meaningful"
         )
-    log = _sample(exp)
+    log = simulate(exp)
     predicted = _unchecked(OutcomeDistribution, joint / joint.sum())
     return _build_validation(log.outcome_counts, exp.trials, predicted,
                              exp.measurement.labels, sigma_bound)
 
 
-def validate_abl(exp: PrePostExperiment, sigma_bound: float = 4.0) -> AblValidation:
-    """Simulate and compare against the ABL probabilities of the story.
-
-    Requires every predicted nonzero outcome to expect at least 100
-    successes at the configured trial count (InsufficientTrialsError, a
-    ValueError, otherwise).
-    Passes iff every outcome frequency deviates by less than
-    ``sigma_bound`` binomial standard errors; a bound that is a bool, not
-    a real number, or not finite and positive is refused
-    (ShapeMismatchError).
-    """
-    return _validate(exp, sigma_bound)
-
-
-# ---------------------------------------------------------------------------
-# Mixtures of separable experiments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class MixtureExperiment:
-    """Per-trial draw of a (pre, post) pair from classical weights."""
-
-    components: tuple[tuple[float, StateVector, StateVector], ...]
-    measurement: Measurement
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _check_experiment(self))
-
-
-def simulate_mixture(mexp: MixtureExperiment) -> TrialLog:
-    """Simulate with the pre/post pair redrawn from the weights per trial;
-    accepted trials follow the success-weighted rule (module docstring)."""
-    return _sample(mexp)
-
-
-def validate_mixture_abl(mexp: MixtureExperiment,
-                         sigma_bound: float = 4.0) -> AblValidation:
-    """Simulate a mixture and compare against the success-weighted rule
-    sum_c w_c |A_i(v_c)|^2 over the story-forming components, normalized
-    over outcomes i: exactly what ``simulate_mixture`` samples.
-    ``sigma_bound`` follows the rule of ``validate_abl``."""
-    return _validate(mexp, sigma_bound)
+#: The mixture name of ``validate_abl``, which validates every experiment.
+validate_mixture_abl = validate_abl

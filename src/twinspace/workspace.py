@@ -136,12 +136,18 @@ class Workspace:
 
     @classmethod
     def load(cls, path) -> "Workspace":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise WorkspaceError(f"cannot read workspace: {err}") from err
-        return cls.loads(text)
+        return cls.from_json_dict(_read(path))
+
+
+def _read(path):
+    """The one workspace file reader: the decoded JSON document.  A file
+    that cannot be read, is not UTF-8 or is not JSON is one fault, a
+    WorkspaceError caused by the reader's own error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise WorkspaceError(f"cannot read workspace: {err}") from err
 
 
 _PARSERS = {"states": StateVector.from_json,
@@ -188,10 +194,9 @@ def _parse_entries(obj):
 def validate_workspace_file(path) -> list[tuple[str, str, bool, str]]:
     """Per-entry validation report: (section, name, ok, message)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        return [("workspace", str(path), False, str(err))]
+        obj = _read(path)
+    except WorkspaceError as err:  # the row names the reader's own error
+        return [("workspace", str(path), False, str(err.__cause__))]
     return _report(obj)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twinspace import TwoStateVector
-from twinspace.cli import main
+from twinspace.cli import build_parser, main
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 
@@ -256,6 +256,32 @@ def test_montecarlo_json_booleans(capsys):
     assert all(type(row["ok"]) is bool for row in report["rows"])
 
 
+def test_montecarlo_check_failure_still_prints_its_report(capsys):
+    argv = ["montecarlo", "ket0", "ket1", "diagonal", "--sigma-bound", "1e-9"]
+    code, out, _ = run(argv, capsys)
+    assert code == 3
+    assert "FAIL" in out and out.splitlines()[-1].endswith("FAIL")
+    code, out, _ = run(argv + ["--json"], capsys)
+    assert code == 3
+    assert json.loads(out)["passed"] is False
+
+
+def test_validate_non_utf8_file_is_a_report_row(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["validate", "--workspace", str(path)], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        f"workspace/{path}: FAIL: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte",
+        "workspace INVALID"]
+    code, out, _ = run(["validate", "--workspace", str(path), "--json"],
+                       capsys)
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_validate_builtin(capsys):
     code, out, _ = run(["validate"], capsys)
     assert code == 0
@@ -471,6 +497,47 @@ def test_reproduce_passes(example, capsys):
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
     assert "[FAIL]" not in out
+
+
+#: One cheap invocation of every subcommand.
+EVERY_COMMAND = {
+    "abl": ["ket0_bra1", "diagonal"],
+    "story": ["ket0_bra1", "diagonal"],
+    "find-story": ["ket0_bra1"],
+    "nullspace": ["computational"],
+    "distinguish": ["ket0_bra1", "classical_qubit", "--trials", "5"],
+    "feasibility": ["qubit_identity", "computational", "diagonal",
+                    "--starts", "2"],
+    "reproduce": ["1"],
+    "montecarlo": ["ket0", "ket1", "diagonal", "--trials", "2000"],
+    "validate": [],
+}
+
+
+def test_every_command_is_covered():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    assert sorted(sub.choices) == sorted(EVERY_COMMAND)
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_json_report_is_named_by_its_command(command, capsys):
+    code, out, _ = run([command, *EVERY_COMMAND[command], "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["command"] == command
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_handlers_return_their_report_and_print_nothing(command, capsys):
+    """main is the one writer of stdout: a handler returns (exit code,
+    JSON payload, text lines), and main prints one of the two forms."""
+    args = build_parser().parse_args([command, *EVERY_COMMAND[command]])
+    code, payload, text = args.handler(args)
+    assert capsys.readouterr().out == ""
+    assert code == 0 and "command" not in payload
+    assert all(isinstance(line, str) for line in text)
+    assert run([command, *EVERY_COMMAND[command]], capsys)[1] == (
+        "\n".join(text) + "\n")
 
 
 def test_console_script_smoke():

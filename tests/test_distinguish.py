@@ -85,6 +85,23 @@ def test_mixture_refuses_a_weight_that_is_no_real_number(weight):
         Mixture(((weight, E00),))
 
 
+@pytest.mark.parametrize("components", [
+    ((1.0, E00, E00),), (1.0,), ((1.0,),), ((1.0, np.eye(2)),),
+    ((1.0, WS.state("ket0")),), (0.5, E00), ((0.5, E00), "a"),
+], ids=["triple", "bare weight", "weight only", "array", "state",
+        "flat pair", "string"])
+def test_mixture_refuses_a_component_that_is_no_weighted_vector(components):
+    """One component rule: a (weight, TwoStateVector) tuple or list,
+    checked before it is unpacked."""
+    with pytest.raises(ShapeMismatchError, match="component"):
+        Mixture(components)
+
+
+def test_mixture_takes_list_components():
+    mix = Mixture([[0.5, E00], [0.5, E11]])
+    assert mix.components == ((0.5, E00), (0.5, E11))
+
+
 def test_mixture_converts_numpy_weights_to_float():
     mix = Mixture(((np.float32(0.5), E00), (np.int64(0), E11),
                    (0.5, E01)))

@@ -348,6 +348,34 @@ def test_one_component_mixture_is_the_pre_post_experiment(pre, post, m,
     assert (a.trials, a.successes, a.passed) == (b.trials, b.successes, b.passed)
 
 
+def test_pre_post_experiment_is_a_mixture_experiment():
+    exp = PrePostExperiment(KET0, KET1, DIAGONAL, 1000, 0)
+    assert isinstance(exp, MixtureExperiment)
+    assert exp.components == ((1.0, KET0, KET1),)
+    assert (exp.pre, exp.post) == (KET0, KET1)
+    assert simulate_mixture is simulate
+    assert validate_mixture_abl is validate_abl
+
+
+@pytest.mark.parametrize("components", [
+    ((1.0, KET0),), ((1.0, KET0, KET1, KET1),), (1.0,),
+    ((1.0, KET0, [0.0, 1.0]),), ((1.0, WS.vector("ket0_bra1"), KET1),),
+], ids=["pair", "quadruple", "bare weight", "list post", "vector pre"])
+def test_mixture_experiment_refuses_a_component_that_is_no_pair(components):
+    """One component rule: a (weight, pre, post) tuple or list of states,
+    checked before it is unpacked."""
+    with pytest.raises(ShapeMismatchError, match="component"):
+        MixtureExperiment(components, DIAGONAL, 1000, 0)
+
+
+@pytest.mark.parametrize("pre, post", [(KET0, [0.0, 1.0]),
+                                       ([1.0, 0.0], KET1)])
+def test_pre_post_experiment_refuses_a_state_that_is_no_state_vector(pre,
+                                                                    post):
+    with pytest.raises(ShapeMismatchError, match="component"):
+        PrePostExperiment(pre, post, DIAGONAL, 1000, 0)
+
+
 def test_mixture_experiment_validation():
     with pytest.raises(ShapeMismatchError):
         MixtureExperiment(((0.7, KET0, KET0), (0.5, KET1, KET1)),

@@ -81,6 +81,22 @@ def test_section_not_an_object(tmp_path):
         Workspace.load(path)
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2", None],
+                         ids=["not utf-8", "not json", "directory"])
+def test_unreadable_file_is_one_fault(content, tmp_path):
+    """A file that cannot be read, is not UTF-8 or is not JSON: one report
+    row from validate, a WorkspaceError from load."""
+    path = tmp_path / "ws.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    [row] = validate_workspace_file(path)
+    assert row[:3] == ("workspace", str(path), False)
+    with pytest.raises(WorkspaceError, match="cannot read workspace"):
+        Workspace.load(path)
+
+
 def test_rejects_invalid_json():
     with pytest.raises(WorkspaceError):
         Workspace.loads("{not json")
