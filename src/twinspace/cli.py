@@ -108,7 +108,7 @@ def cmd_nullspace(args) -> Report:
     ns = NullSubspace(m)
     payload = {"measurement": args.measurement, "dim": m.dim,
                "num_outcomes": m.num_outcomes, "null_dimension": ns.dim}
-    if args.json:  # the basis, an SVD, is read only for --json
+    if args.json:  # the basis, d^2 - k matrices, is built only for --json
         payload["basis"] = [b.to_json() for b in ns.basis]
     return EXIT_OK, payload, [
         f"dim^2 - outcomes = {m.dim ** 2} - {m.num_outcomes} = {ns.dim}",

@@ -361,12 +361,16 @@ def forms_story(v: TwoStateVector, m: Measurement) -> bool:
 
 
 def _check_weights(components, *kinds: type) -> tuple:
-    """The one mixture-component rule: at least one component, each a
-    (weight, *parts) tuple or list whose parts are one instance of each of
-    ``kinds`` in order (a Mixture's a TwoStateVector, an experiment's two
-    StateVectors), each weight a Python or numpy real number, not a bool,
-    in [0, inf) (so not NaN), the total one within 1e-9.  Returns the
-    components as tuples with float weights."""
+    """The one mixture-component rule: a tuple or list of at least one
+    component, each a (weight, *parts) tuple or list whose parts are one
+    instance of each of ``kinds`` in order (a Mixture's a TwoStateVector,
+    an experiment's two StateVectors), each weight a Python or numpy real
+    number, not a bool, in [0, inf) (so not NaN), the total one within
+    1e-9.  Returns the components as tuples with float weights."""
+    if not isinstance(components, (tuple, list)):
+        raise ShapeMismatchError(
+            f"mixture components must be a tuple or list, got "
+            f"{type(components).__name__}")
     if not components:
         raise ShapeMismatchError("mixture needs at least one component")
     comps, total = [], 0.0

@@ -73,8 +73,9 @@ class MixtureExperiment:
 
     ``components`` are (weight, pre, post) under the one component rule
     (``measurement._check_weights``), pre and post unit states of the
-    measurement's dimension.  Some |pre> (x) <post| must form a story with
-    the measurement, or no trial is ever post-selected (NotAStory).
+    dimension of ``measurement``, a Measurement.  Some |pre> (x) <post|
+    must form a story with the measurement, or no trial is ever
+    post-selected (NotAStory).
     """
 
     components: tuple[tuple[float, StateVector, StateVector], ...]
@@ -84,6 +85,10 @@ class MixtureExperiment:
 
     def __post_init__(self):
         comps = _check_weights(self.components, StateVector, StateVector)
+        if not isinstance(self.measurement, Measurement):
+            raise ShapeMismatchError(
+                f"experiment measurement must be a Measurement, got "
+                f"{type(self.measurement).__name__}")
         dim = self.measurement.dim
         for _, pre, post in comps:
             if pre.dim != dim or post.dim != dim:

@@ -22,12 +22,15 @@ a linear subspace, the kernel of the linear map
 
 of dimension exactly dim^2 - k: the k functionals are orthogonal with
 squared norms rank(P_i) >= 1, as a Measurement has no zero outcome.  The
-dimension and membership (the negated story rule) need no basis, which an
-SVD computes: in ``null_subspace``, or on first use of a bare
-``NullSubspace``.  The trace functional is the sum of the outcome
-functionals of any one measurement, so a vector with nonzero trace forms a
-story with *every* measurement, and a story-less vector is necessarily
-traceless.
+dimension and membership (the negated story rule) need no basis.  The basis
+is closed-form in the measurement's eigenframe, an orthonormal basis u_a
+of C^d grouped into the outcome blocks (u_a in the range of P_i): the
+dim^2 - dim units u_a u_b^dagger (a != b) and, in each block of rank r,
+r - 1 traceless (Helmert) combinations of its u_a u_a^dagger.  It is built
+in ``null_subspace``, or on first use of a bare ``NullSubspace``.  The
+trace functional is the sum of the outcome functionals of any one
+measurement, so a vector with nonzero trace forms a story with *every*
+measurement, and a story-less vector is necessarily traceless.
 """
 
 from __future__ import annotations
@@ -127,11 +130,17 @@ def is_traceless(v: TwoStateVector) -> bool:
     return abs(np.trace(v.matrix)) <= DEFAULT_TOL * v.hs_norm
 
 
+#: Basis rows per step of the projection off the constraint rows: a
+#: (rows, dim^2) temporary of 16 MB at dim 64, not a second basis block.
+_PROJECTION_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class NullSubspace:
     """The story-less vectors of one measurement: the kernel of
     v -> (Tr P_1 v, ..., Tr P_k v), of dimension dim^2 - k (zero exactly
-    for dim == 1).  ``basis``, orthonormal, is computed on first use.
+    for dim == 1).  ``basis``, orthonormal, is computed on first use, in
+    the measurement's eigenframe (module docstring).
     """
 
     measurement: Measurement
@@ -144,20 +153,50 @@ class NullSubspace:
     def basis(self) -> tuple[TwoStateVector, ...]:
         m = self.measurement
         k, d = m.num_outcomes, m.dim
-        constraints = m._stacked.transpose(0, 2, 1).reshape(k, d * d)
-        vh = np.linalg.svd(constraints, full_matrices=True)[2]
-        # Read-only views of one conjugated block of vh, not d^2 - k copies;
-        # unitary rows are finite and nonzero, all the constructor checks.
-        null = vh[k:].reshape(-1, d, d)
-        np.conjugate(null, out=null)
+        stack = m._stacked
+        # H = sum_i i P_i has eigenvalue i on the range of P_i: eigh's
+        # ascending columns u_a come in contiguous outcome blocks.
+        vals, u = np.linalg.eigh(np.tensordot(np.arange(k), stack, axes=1))
+        block = np.rint(vals)
+        uh = u.conj().T
+        a, b = np.nonzero(~np.eye(d, dtype=bool))
+        # Helmert row t of a block starting at column f: 1 on columns
+        # f .. f+t-1, -t on column f+t, over sqrt(t (t + 1)).
+        col = np.arange(d)
+        first = np.searchsorted(block, block)
+        c = np.flatnonzero(col != first)[:, np.newaxis]
+        t = c - first[c]
+        helmert = (((first[c] <= col) & (col < c)) - t * (col == c)) \
+            / np.sqrt(t * (t + 1))
+        # One basis block: the units u_a u_b^dagger, then U diag(h) U^dagger.
+        null = np.empty((d * d - k, d, d), dtype=np.complex128)
+        np.multiply(u.T[a, :, np.newaxis], uh[b, np.newaxis, :],
+                    out=null[:d * d - d])
+        np.matmul(u * helmert[:, np.newaxis, :], uh, out=null[d * d - d:])
+        # Tr(P_i u_a u_b^dagger) = (U^dagger P_i U)_ba in closed form.  The
+        # P_i of an accepted measurement commute only within
+        # MEASUREMENT_TOL, so the units keep amplitudes up to about 1e-10,
+        # the story threshold: project the block once off the constraint
+        # rows, B <- B - sum_i Tr(P_i B) / rank(P_i) P_i, a chunk at a time.
+        q = uh @ stack @ u
+        amps = np.concatenate([q[:, b, a].T,
+                               helmert @ np.diagonal(q, 0, 1, 2).T])
+        amps /= [p.rank for p in m.projectors]
+        flat, projs = null.reshape(-1, d * d), stack.reshape(k, d * d)
+        for s in range(0, len(flat), _PROJECTION_ROWS):
+            rows = slice(s, s + _PROJECTION_ROWS)
+            flat[rows] -= amps[rows] @ projs
+        # Read-only views of the one block, not d^2 - k copies; orthonormal
+        # rows are finite and nonzero, all the constructor checks.
         null.setflags(write=False)
         return tuple(_unchecked(TwoStateVector, mat) for mat in null)
 
 
 def null_subspace(m: Measurement) -> NullSubspace:
     """The story-less subspace of ``m``: dimension dim^2 - k by law, and
-    its basis, by SVD of the constraint rows v -> Tr(P_i v), computed in
-    this call.  ``NullSubspace(m)`` alone defers the basis to first use."""
+    its orthonormal basis, closed-form in the eigenframe of ``m`` (module
+    docstring), computed in this call.  ``NullSubspace(m)`` alone defers
+    the basis to first use."""
     ns = NullSubspace(m)
     _ = ns.basis
     return ns

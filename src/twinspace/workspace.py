@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -127,12 +128,9 @@ class Workspace:
         return cls(*(tables[section] for section in _SECTIONS))
 
     @classmethod
-    def loads(cls, text: str) -> "Workspace":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise WorkspaceError(f"invalid JSON: {err}") from err
-        return cls.from_json_dict(obj)
+    def loads(cls, text: str | bytes) -> "Workspace":
+        """The workspace in ``text``: a str, or bytes read as UTF-8."""
+        return cls.from_json_dict(_decoded(lambda: text))
 
     @classmethod
     def load(cls, path) -> "Workspace":
@@ -140,12 +138,19 @@ class Workspace:
 
 
 def _read(path):
-    """The one workspace file reader: the decoded JSON document.  A file
-    that cannot be read, is not UTF-8 or is not JSON is one fault, a
-    WorkspaceError caused by the reader's own error."""
+    """The decoded JSON document of the workspace file at ``path``."""
+    return _decoded(Path(path).read_bytes)
+
+
+def _decoded(read):
+    """The one workspace reader: the JSON document in what ``read()``
+    returns, a str or bytes read as UTF-8.  A source that cannot be read,
+    is not UTF-8 or is not JSON is one fault, a WorkspaceError caused by
+    the reader's own error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        data = read()
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                          else data)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise WorkspaceError(f"cannot read workspace: {err}") from err
 

@@ -88,11 +88,14 @@ def test_mixture_refuses_a_weight_that_is_no_real_number(weight):
 @pytest.mark.parametrize("components", [
     ((1.0, E00, E00),), (1.0,), ((1.0,),), ((1.0, np.eye(2)),),
     ((1.0, WS.state("ket0")),), (0.5, E00), ((0.5, E00), "a"),
+    5, np.array([(0.5, E00), (0.5, E11)], dtype=object),
+    iter([(1.0, E00)]),
 ], ids=["triple", "bare weight", "weight only", "array", "state",
-        "flat pair", "string"])
+        "flat pair", "string", "int", "array of components",
+        "iterator"])
 def test_mixture_refuses_a_component_that_is_no_weighted_vector(components):
-    """One component rule: a (weight, TwoStateVector) tuple or list,
-    checked before it is unpacked."""
+    """One component rule: a tuple or list of (weight, TwoStateVector)
+    tuples or lists, checked before it is iterated or unpacked."""
     with pytest.raises(ShapeMismatchError, match="component"):
         Mixture(components)
 

@@ -368,6 +368,18 @@ def test_mixture_experiment_refuses_a_component_that_is_no_pair(components):
         MixtureExperiment(components, DIAGONAL, 1000, 0)
 
 
+@pytest.mark.parametrize("measurement", ["x", np.eye(2), None],
+                         ids=["string", "matrix", "none"])
+def test_mixture_experiment_refuses_a_measurement_that_is_no_measurement(
+        measurement):
+    """The measurement is checked as the components are: a library error,
+    not an AttributeError from its first use."""
+    with pytest.raises(ShapeMismatchError, match="Measurement"):
+        MixtureExperiment(((1.0, KET0, KET1),), measurement, 100, 0)
+    with pytest.raises(ShapeMismatchError, match="Measurement"):
+        PrePostExperiment(KET0, KET1, measurement, 100, 0)
+
+
 @pytest.mark.parametrize("pre, post", [(KET0, [0.0, 1.0]),
                                        ([1.0, 0.0], KET1)])
 def test_pre_post_experiment_refuses_a_state_that_is_no_state_vector(pre,

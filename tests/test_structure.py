@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from twinspace import (
     MAX_DIM,
+    MEASUREMENT_TOL,
     DimensionMismatchError,
     KernelDimensionError,
     Measurement,
+    MeasurementValidationError,
     NotAStoryError,
     NullSubspace,
     StoryCase,
@@ -162,8 +164,8 @@ def test_null_dimension_law_small():
 @pytest.mark.parametrize("k", [1, MAX_DIM // 2, MAX_DIM])
 def test_null_dimension_and_membership_need_no_svd(monkeypatch, k):
     """dim is the law dim^2 - k and membership the negated story rule: at
-    MAX_DIM neither runs the d^2 x d^2 SVD behind the basis, which a bare
-    NullSubspace defers and null_subspace computes."""
+    MAX_DIM neither builds the basis, which a bare NullSubspace defers, and
+    the basis, closed-form in the eigenframe, runs no SVD."""
     m = random_measurement(MAX_DIM, k, [19, k])
 
     def refuse(*args, **kwargs):
@@ -174,10 +176,14 @@ def test_null_dimension_and_membership_need_no_svd(monkeypatch, k):
     assert ns.dim == MAX_DIM ** 2 - k
     assert not membership_in_null(TwoStateVector(np.eye(MAX_DIM)), ns)
     assert membership_in_null(near_threshold_vector(m, k, 0.0), ns)
-    with pytest.raises(AssertionError, match="svd"):
-        ns.basis
-    with pytest.raises(AssertionError, match="svd"):
-        null_subspace(m)
+    assert "basis" not in ns.__dict__
+    assert len(ns.basis) == ns.dim
+
+
+def test_null_subspace_builds_its_basis():
+    """null_subspace is eager: the basis is built in the call, a bare
+    NullSubspace builds it on first use."""
+    assert "basis" in null_subspace(random_measurement(3, 2, 0)).__dict__
 
 
 def test_null_dimension_one_outcome():
@@ -279,6 +285,78 @@ def test_trace_is_sum_of_outcome_amplitudes():
         m = random_measurement(4, 1 + seed % 4, [88, seed])
         amps = outcome_amplitudes(v, m)
         assert np.sum(amps) == pytest.approx(trace_functional(v), abs=1e-12)
+
+
+@st.composite
+def measurements(draw):
+    """A random measurement at dim 1 to 8, or the same measurement with
+    Hermitian noise of up to MEASUREMENT_TOL per entry on each projector,
+    halved until Measurement accepts it."""
+    dim = draw(st.integers(1, 8))
+    k = draw(st.integers(1, dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([0.0, 1.0])) * MEASUREMENT_TOL
+    m = random_measurement(dim, k, [29, seed])
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((k, dim, dim))
+         + 1j * rng.standard_normal((k, dim, dim)))
+    noise = [e / np.max(np.abs(e)) for e in g + g.conj().transpose(0, 2, 1)]
+    while scale:
+        try:
+            return Measurement([p.matrix + scale * e
+                                for p, e in zip(m.projectors, noise)])
+        except MeasurementValidationError:
+            scale /= 2
+    return m
+
+
+def basis_rows(ns):
+    """The basis as (dim^2 - k, dim^2) rows under the Hilbert-Schmidt
+    inner product."""
+    d2 = ns.measurement.dim ** 2
+    return np.array([b.matrix.reshape(-1) for b in ns.basis]).reshape(-1, d2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=measurements())
+def test_null_basis_is_orthonormal_and_storyless_on_any_measurement(m):
+    ns = null_subspace(m)
+    rows = basis_rows(ns)
+    assert len(rows) == ns.dim
+    np.testing.assert_allclose(rows @ rows.conj().T, np.eye(ns.dim),
+                               rtol=0, atol=1e-12)
+    assert not any(forms_story(b, m) for b in ns.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=measurements())
+def test_null_basis_spans_the_svd_kernel(m):
+    """The same subspace as the kernel of the constraint rows
+    v -> Tr(P_i v) by SVD: the two orthogonal projectors agree."""
+    k, d = m.num_outcomes, m.dim
+    constraints = np.array([p.matrix.T.reshape(-1) for p in m.projectors])
+    kernel = np.linalg.svd(constraints)[2][k:].conj()
+    rows = basis_rows(null_subspace(m))
+    np.testing.assert_allclose(rows.T @ rows.conj(),
+                               kernel.T @ kernel.conj(), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, MAX_DIM // 2, MAX_DIM])
+def test_null_basis_random_combination_at_max_dim(k):
+    """The benchmark's check at MAX_DIM: z = sum_j y_j b_j gives back every
+    y_j = <b_j, z> (only for an orthonormal basis, for random y) and has
+    amplitudes at most 1e-9 ||z||."""
+    m = random_measurement(MAX_DIM, k, [31, k])
+    basis = null_subspace(m).basis
+    rng = np.random.default_rng(k)
+    y = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    z = np.zeros((MAX_DIM, MAX_DIM), dtype=complex)
+    for c, b in zip(y, basis):
+        z += c * b.matrix
+    back = np.array([np.vdot(b.matrix, z) for b in basis])
+    np.testing.assert_allclose(back, y, rtol=0, atol=1e-9)
+    z = TwoStateVector(z)
+    assert np.max(np.abs(outcome_amplitudes(z, m))) <= 1e-9 * z.hs_norm
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ def test_section_not_an_object(tmp_path):
                          ids=["not utf-8", "not json", "directory"])
 def test_unreadable_file_is_one_fault(content, tmp_path):
     """A file that cannot be read, is not UTF-8 or is not JSON: one report
-    row from validate, a WorkspaceError from load."""
+    row from validate, a WorkspaceError from load, and the same error
+    from loads of the same bytes."""
     path = tmp_path / "ws.json"
     if content is None:
         path.mkdir()
@@ -93,8 +94,17 @@ def test_unreadable_file_is_one_fault(content, tmp_path):
         path.write_bytes(content)
     [row] = validate_workspace_file(path)
     assert row[:3] == ("workspace", str(path), False)
-    with pytest.raises(WorkspaceError, match="cannot read workspace"):
+    with pytest.raises(WorkspaceError, match="cannot read workspace") as err:
         Workspace.load(path)
+    if content is not None:
+        with pytest.raises(WorkspaceError) as from_bytes:
+            Workspace.loads(content)
+        assert str(from_bytes.value) == str(err.value)
+
+
+def test_loads_takes_utf8_bytes():
+    text = builtin_workspace().dumps()
+    assert Workspace.loads(text.encode()).dumps() == text
 
 
 def test_rejects_invalid_json():
