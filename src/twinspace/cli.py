@@ -9,8 +9,10 @@ Output contract: a handler computes and returns its ``Report``, (exit
 code, JSON payload, text lines), and never prints; ``main`` is the one
 writer of stdout.  It prints the text lines joined by newlines or, with
 ``--json``, the payload under the parser's ``"command"`` name as canonical
-JSON (sorted keys, two-space indent), byte-identical across repeated runs
-with the same inputs.  Errors go to stderr as one line, with no report.
+JSON: the bytes of ``json.dumps(..., indent=2, sort_keys=True)``, written by
+the one canonical writer ``core._canonical_json``, byte-identical across
+repeated runs with the same inputs.  Errors go to stderr as one line, with
+no report.
 
 Exit codes: 0 success/PASS, 1 input or resolution error, 2 no story,
 3 check failure.
@@ -19,10 +21,9 @@ Exit codes: 0 success/PASS, 1 input or resolution error, 2 no story,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .core import DEFAULT_TOL, is_separable, schmidt
+from .core import DEFAULT_TOL, _canonical_json, is_separable, schmidt
 from .distinguish import (
     CertificationVerdict,
     FeasibilityVerdict,
@@ -383,8 +384,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        print(json.dumps({"command": args.command, **payload}, indent=2,
-                         sort_keys=True))
+        print(_canonical_json({"command": args.command, **payload}))
     else:
         print("\n".join(text))
     return code

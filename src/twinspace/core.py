@@ -26,9 +26,11 @@ available through :meth:`TwoStateVector.unit`.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -368,6 +370,74 @@ def array_to_json(array: np.ndarray) -> list:
     """A complex array as nested lists of [re, im] pairs: the one writer."""
     pairs = np.ascontiguousarray(array, dtype=np.complex128)
     return pairs.view(np.float64).reshape(pairs.shape + (2,)).tolist()
+
+
+def _canonical_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte: the
+    one canonical writer.  Dicts and other lists are walked here; a
+    non-empty rectangular nest of lists of ints and floats (every
+    ``array_to_json`` result) is rendered in one template fill, and every
+    other value by json's C encoder."""
+    out: list[str] = []
+    _encode(obj, 0, out)
+    return "".join(out)
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append the text of ``obj``, opened at indent ``level``, to ``out``."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in sorted(obj.items()):  # sorted before conversion
+            key = key if isinstance(key, str) else json.dumps(key)
+            out.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _encode(value, level + 1, out)
+            sep = ","
+        out.append(inner[:-2] + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        leaf = _number_leaf(obj, level)
+        if leaf is not None:
+            out.append(leaf)
+            return
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _encode(item, level + 1, out)
+            sep = ","
+        out.append(inner[:-2] + "]")
+    else:  # scalars, [] and {}
+        out.append(json.dumps(obj))
+
+
+def _number_leaf(nest: list, level: int) -> str | None:
+    """The indented text of ``nest`` at ``level`` if it is a non-empty
+    rectangular nest of lists whose leaves are all exact ints and floats,
+    none of them nan or infinite; None otherwise."""
+    shape, rows = [], [nest]
+    while True:
+        lengths = set(map(len, rows))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(itertools.chain.from_iterable(rows))
+        kinds = set(map(type, items))
+        if kinds <= {int, float}:
+            break
+        if kinds != {list}:
+            return None
+        rows = items
+    # repr is json's own rendering of a finite number; nan and inf are the
+    # reprs that hold an "n", and json spells them otherwise.
+    text = _leaf_template(tuple(shape), level) % tuple(items)
+    return None if "n" in text else text
+
+
+@lru_cache(maxsize=64)
+def _leaf_template(shape: tuple, level: int) -> str:
+    """The %r template of a rectangular nest of ``shape`` at ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    item = "%r" if len(shape) == 1 else _leaf_template(shape[1:], level + 1)
+    return f"[{inner}{(',' + inner).join([item] * shape[0])}{inner[:-2]}]"
 
 
 def array_from_json(data, ndim: int, what: str) -> np.ndarray:

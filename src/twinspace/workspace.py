@@ -12,7 +12,8 @@ Schema (all sections optional, names unique within a section):
     }
 
 Complex numbers are [re, im] pairs and matrices are row-major.  Dumps are
-canonical (sorted keys, two-space indent, trailing newline), so a
+canonical (sorted keys, two-space indent, trailing newline), written by the
+one canonical writer ``core._canonical_json``, so a
 dump -> load -> dump round trip is byte-exact; individual floats survive
 exactly because Python's repr round-trips doubles.
 
@@ -29,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateVector, TwoStateVector
+from .core import StateVector, TwoStateVector, _canonical_json
 from .distinguish import Mixture
-from .errors import TwinspaceError, WorkspaceError
+from .errors import ShapeMismatchError, TwinspaceError, WorkspaceError
 from .measurement import Measurement, measurement_from_basis_grouping
 
 _SECTIONS = ("states", "vectors", "measurements", "mixtures")
@@ -111,7 +112,7 @@ class Workspace:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _canonical_json(self.to_json_dict()) + "\n"
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -160,6 +161,22 @@ _PARSERS = {"states": StateVector.from_json,
             "measurements": Measurement.from_json}
 
 
+def _mixture_refs(entry) -> tuple[tuple[object, str], ...]:
+    """The (weight, vector name) refs of a mixture entry, by the one shape
+    rule: an object with a "components" list of objects, each with a
+    "weight" and a string "vector".  Anything else is a
+    ShapeMismatchError naming that shape; the weights are left to the one
+    weight rule."""
+    comps = entry.get("components") if isinstance(entry, dict) else None
+    if isinstance(comps, list) and all(
+            isinstance(c, dict) and "weight" in c
+            and isinstance(c.get("vector"), str) for c in comps):
+        return tuple((c["weight"], c["vector"]) for c in comps)
+    raise ShapeMismatchError(
+        'mixture entry must be an object with a "components" list of '
+        '{"weight": w, "vector": name} objects')
+
+
 def _parse_entries(obj):
     """Yield (section, name, value, error) rows: first the document's own
     faults (not an object; each unknown section), then one per entry,
@@ -181,8 +198,7 @@ def _parse_entries(obj):
         for name, entry in sorted(table.items()):
             try:
                 if section == "mixtures":
-                    value = tuple((c["weight"], str(c["vector"]))
-                                  for c in entry["components"])
+                    value = _mixture_refs(entry)
                     Mixture(tuple(
                         (w, Workspace._lookup(vectors, ref, "vector"))
                         for w, ref in value))

@@ -540,6 +540,17 @@ def test_handlers_return_their_report_and_print_nothing(command, capsys):
         "\n".join(text) + "\n")
 
 
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_json_report_is_json_dumps_of_the_handlers_payload(command, capsys):
+    """--json prints the handler's payload under its command name exactly
+    as json.dumps(indent=2, sort_keys=True) renders it."""
+    argv = [command, *EVERY_COMMAND[command], "--json"]
+    args = build_parser().parse_args(argv)
+    _, payload, _ = args.handler(args)
+    assert run(argv, capsys)[1] == json.dumps(
+        {"command": command, **payload}, indent=2, sort_keys=True) + "\n"
+
+
 def test_console_script_smoke():
     exe = shutil.which("twinspace")
     assert exe is not None, "console script not installed"

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 
 import numpy as np
@@ -36,7 +37,12 @@ from twinspace import (
     trace_functional,
 )
 from twinspace import montecarlo
-from twinspace.core import array_from_json, array_to_json
+from twinspace.core import (
+    _canonical_json,
+    _number_leaf,
+    array_from_json,
+    array_to_json,
+)
 
 RNG = np.random.default_rng(20230817)
 
@@ -384,6 +390,82 @@ def test_codec_matches_the_per_entry_reference(shape):
     back = array_from_json(json.loads(json.dumps(text)), len(shape), "test")
     assert back.shape == shape
     assert back.tobytes() == np.ascontiguousarray(array).tobytes()
+
+
+def _reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+#: Numbers at the edges of json's rendering: signed zero, the smallest
+#: subnormal, both sides of repr's switch to exponents, nan and infinities,
+#: integers beyond 64 bits, and bools beside the 1 and 1.0 they equal.
+EDGE_NUMBERS = st.sampled_from([
+    -0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e15, math.nan, math.inf,
+    -math.inf, 2 ** 63, -(2 ** 63) - 1, 2 ** 64 + 1, True, False, 1, 1.0])
+NUMBERS = st.one_of(st.floats(), st.integers(), EDGE_NUMBERS)
+STRINGS = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', "\\", 'a "quoted" \\ path', "caf\u00e9 \u4e2d", "], [", "]],\n[[",
+     "1.0", "n"]))
+SCALARS = st.one_of(NUMBERS, STRINGS, st.none())
+
+
+def _nested(flat, shape):
+    """``flat`` as nested lists of ``shape``."""
+    for n in reversed(shape[1:]):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
+
+
+@st.composite
+def rectangular(draw):
+    """A rectangular nest of 1-4 axes, mostly of finite floats, placed
+    inside 0-3 levels of lists and dicts."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    items = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.integers(-3, 3), NUMBERS)
+    value = _nested(draw(st.lists(items, min_size=size, max_size=size)),
+                    shape)
+    for wrap in draw(st.lists(st.sampled_from(["list", "dict"]),
+                              max_size=3)):
+        value = [value, 0.5] if wrap == "list" else {"b": value, "a": 1}
+    return value
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(SCALARS, rectangular()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(STRINGS, children, max_size=4),
+        # uniform depth, unequal lengths
+        st.lists(st.lists(NUMBERS, max_size=3), min_size=2, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_canonical_writer_is_json_dumps(value):
+    assert _canonical_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0], 2.0], [1.0, None],
+    [1.0, "1.0"], [[1.0, {}]], [True, 1, 1.0], [[True], [1]], [math.nan],
+    [[0.5, -math.inf]], [(1.0, 2.0)], [[2 ** 64, -0.0]], {"k": [[1e16]]},
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
+])
+def test_canonical_writer_on_boundary_nests(value):
+    assert _canonical_json(value) == _reference_json(value)
+
+
+def test_canonical_writer_on_the_d16_nullspace_payload():
+    """The 6 MB basis of ``nullspace --json`` at d = 16 renders through the
+    one-fill path, and to json's own bytes."""
+    m = twinspace.random_measurement(16, 8, 0)
+    payload = {"command": "nullspace", "dim": 16, "basis": [
+        b.to_json() for b in twinspace.NullSubspace(m).basis]}
+    assert _number_leaf(payload["basis"][0]["matrix"], 3) is not None
+    assert _canonical_json(payload) == _reference_json(payload)
 
 
 # ---------------------------------------------------------------------------

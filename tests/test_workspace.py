@@ -368,3 +368,44 @@ def test_integer_mixture_weights_dump_as_floats():
     ws = Workspace.from_json_dict(doc)
     assert ws.mixture_refs["m"] == ((1.0, "v"),)
     assert '"weight": 1.0' in ws.dumps()
+
+
+@pytest.mark.parametrize("entry", [
+    {"components": [{"weight": 1.0, "vector": ["ket0_bra0"]}]},
+    {"components": [{"weight": 1.0, "vector": 5}]},
+    {"components": [{"weight": 1.0}]},
+    {"components": [{"vector": "ket0_bra0"}]},
+    {"components": [["ket0_bra0", 1.0]]},
+    {"components": {"a": 1}},
+    {"components": "ket0_bra0"},
+    {},
+    [],
+    "ket0_bra0",
+])
+def test_mixture_entry_of_another_shape_is_refused(entry, tmp_path):
+    """One shape rule: an object with a "components" list of
+    {"weight", "vector": str} objects.  A vector ref that is no string
+    used to load as its str(), and other shapes failed with raw Python
+    messages."""
+    doc = json.loads(builtin_workspace().dumps())
+    doc["vectors"]["5"] = doc["vectors"]["['ket0_bra0']"] = (
+        doc["vectors"]["ket0_bra0"])
+    doc["mixtures"]["odd"] = entry
+    text = json.dumps(doc)
+    shape = ('mixture entry must be an object with a "components" list of '
+             '{"weight": w, "vector": name} objects')
+    with pytest.raises(WorkspaceError) as exc:
+        Workspace.loads(text)
+    assert str(exc.value) == f"mixture 'odd': {shape}"
+    path = tmp_path / "ws.json"
+    path.write_text(text)
+    rows = [row for row in validate_workspace_file(path) if row[1] == "odd"]
+    assert rows == [("mixtures", "odd", False, shape)]
+
+
+def test_mixture_components_may_carry_other_keys():
+    doc = {"vectors": {"v": TwoStateVector(np.eye(2)).to_json()},
+           "mixtures": {"m": {"components": [
+               {"weight": 1.0, "vector": "v", "note": "kept out"}],
+               "note": "kept out"}}}
+    assert Workspace.from_json_dict(doc).mixture_refs["m"] == ((1.0, "v"),)
