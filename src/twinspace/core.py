@@ -62,22 +62,28 @@ def _frozen(array, dtype=np.complex128) -> np.ndarray:
     return out
 
 
-def _unchecked(cls, value: np.ndarray):
-    """A ``cls`` (a one-array dataclass) holding ``value``, made C-contiguous
-    and read-only, unchecked: only for results valid by construction."""
+def _unchecked(cls, value: np.ndarray, *rest):
+    """A ``cls`` (a dataclass) holding ``value``, made C-contiguous and
+    read-only, and then ``rest`` in field order, unchecked: only for
+    results valid by construction."""
     value = np.ascontiguousarray(value)
     value.setflags(write=False)
     obj = object.__new__(cls)
-    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), value)
+    for name, field in zip(cls.__dataclass_fields__, (value, *rest)):
+        object.__setattr__(obj, name, field)
     return obj
 
 
-def _array(data, what: str) -> np.ndarray:
-    """``np.asarray(data)``, refusing ragged nesting as a shape fault."""
+def _array(data, what: str, dtype=np.complex128) -> np.ndarray:
+    """``np.asarray(data, dtype)``: the one conversion gate of outside
+    numbers.  Ragged nesting and entries that do not convert (strings
+    that are no numbers, objects, integers beyond the range of ``dtype``)
+    are shape faults."""
     try:
-        return np.asarray(data)
-    except ValueError as err:  # numpy's "inhomogeneous shape"
-        raise ShapeMismatchError(f"{what} is ragged: {err}") from None
+        return np.asarray(data, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ShapeMismatchError(
+            f"{what} is ragged or not numeric: {err}") from None
 
 
 def _square(matrix, what: str) -> np.ndarray:
@@ -446,16 +452,12 @@ def array_from_json(data, ndim: int, what: str) -> np.ndarray:
     non-numbers, integers beyond a double, pairs of another length, an
     empty list) is a ShapeMismatchError; non-finite values are left to
     the value rules."""
-    try:
-        pairs = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ShapeMismatchError(
-            f"{what} is not a nest of [re, im] pairs: {err}") from None
+    pairs = _array(data, what, np.float64)
     if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
         raise ShapeMismatchError(
             f"{what} must nest [re, im] pairs {ndim} deep, "
             f"got shape {pairs.shape}")
-    return pairs.view(np.complex128)[..., 0]
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
 def _declared_array(obj, key: str, ndim: int, what: str) -> np.ndarray:

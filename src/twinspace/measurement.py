@@ -7,6 +7,14 @@ MEASUREMENT_TOL = DEFAULT_TOL, failing on NaN (so on any non-finite entry),
 in this order: each P_i Hermitian, then idempotent; rank >= 1;
 P_i P_j = 0 for i < j; sum_i P_i = 1.
 
+The rule runs once, on the (k, d, d) stack, where matrices enter from
+outside: ``Measurement(...)``, ``validate_measurement``, ``from_json`` and
+``measurement_from_basis_grouping``, whose basis is the caller's.  The
+builders of P_g = U_g U_g^dagger over the column groups of a unitary frame
+(``random_measurement``, ``measurement_from_observable``, ``trivial``, a
+story witness's {|w><w|, 1 - |w><w|}) and ``Projector.onto_state`` are
+valid by construction and skip it.
+
 Applied between a preparation and a post-selection the relevant quantity
 is the complex outcome amplitude
 
@@ -122,9 +130,10 @@ class Projector:
 
     @classmethod
     def onto_state(cls, state: StateVector) -> "Projector":
-        """Rank-one projector |s><s| / <s|s> onto the given state."""
+        """Rank-one projector |s><s| / <s|s> onto the given state, valid
+        by construction (unchecked)."""
         a = state.amplitudes / state.norm
-        return cls(np.outer(a, a.conj()))
+        return _unchecked(cls, np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +163,11 @@ class Measurement:
         _check_dim(dim, "measurement")
         stack = _frozen(mats)
         _check_projectors(stack)
-        projs = tuple(_unchecked(Projector, p) for p in stack)
-        for i, p in enumerate(projs):
-            if p.rank < 1:
+        for i, p in enumerate(stack):
+            if _unchecked(Projector, p).rank < 1:
                 raise MeasurementValidationError(
                     f"projector {i} is the zero projector (rank 0)", index=i)
-        for i in range(len(projs) - 1):
+        for i in range(len(stack) - 1):
             j = _first_failure(stack[i] @ stack[i + 1:])
             if j is not None:
                 j += i + 1
@@ -171,19 +179,30 @@ class Measurement:
                 )
         if _first_failure(stack.sum(axis=0) - np.eye(dim)) is not None:
             raise NotCompleteError("projectors do not sum to the identity")
-        if self.labels is not None:
-            if isinstance(self.labels, str) or not isinstance(self.labels,
-                                                              Sequence):
+        labels = self.labels
+        if labels is not None:
+            if isinstance(labels, str) or not isinstance(labels, Sequence):
                 raise ShapeMismatchError(
-                    f"labels must be a sequence of names, got {self.labels!r}")
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != len(projs):
+                    f"labels must be a sequence of names, got {labels!r}")
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != len(stack):
                 raise ShapeMismatchError(
-                    f"{len(labels)} labels for {len(projs)} outcomes"
+                    f"{len(labels)} labels for {len(stack)} outcomes"
                 )
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "projectors", projs)
+        self._store(stack, labels)
+
+    @classmethod
+    def _trusted(cls, stack: np.ndarray, labels=None) -> "Measurement":
+        """Unchecked: only for a stack valid by construction."""
+        return object.__new__(cls)._store(stack, labels)
+
+    def _store(self, stack: np.ndarray, labels) -> "Measurement":
+        """The one writer of the stored form: stack, its views, labels."""
+        object.__setattr__(self, "projectors",
+                           tuple(_unchecked(Projector, p) for p in stack))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_stacked", stack)
+        return self
 
     @property
     def dim(self) -> int:
@@ -198,7 +217,7 @@ class Measurement:
         """The single-outcome measurement {identity}."""
         dim = _integer(dim, "measurement dimension")
         _check_dim(dim, "measurement")  # before np.eye allocates d x d
-        return cls((np.eye(dim),))
+        return cls._trusted(_frozen(np.eye(dim)[np.newaxis]))
 
     def to_json(self) -> dict:
         obj = {"dim": self.dim, "projectors": array_to_json(self._stacked)}
@@ -225,10 +244,10 @@ def validate_measurement(projectors: Sequence, *,
     return Measurement(projectors, labels)
 
 
-def _measurement_from_columns(blocks, labels=None) -> Measurement:
-    """Outcome i projects onto the span of the orthonormal columns of
-    ``blocks[i]``: P_i = cols cols^dagger."""
-    return Measurement([cols @ cols.conj().T for cols in blocks], labels)
+def _frame_stack(blocks) -> np.ndarray:
+    """The frozen (k, d, d) stack whose outcome i projects onto the span
+    of the columns of ``blocks[i]``: P_i = cols cols^dagger."""
+    return _frozen([cols @ cols.conj().T for cols in blocks])
 
 
 def measurement_from_basis_grouping(
@@ -239,8 +258,10 @@ def measurement_from_basis_grouping(
     """Build a measurement from an orthonormal basis and an index partition.
 
     ``grouping`` must list every basis index exactly once across nonempty
-    groups; outcome g gets the projector sum_{j in g} |b_j><b_j|.  A basis
-    that is not orthonormal fails the measurement rule on those projectors.
+    groups, a sequence of sequences of integers; outcome g gets the
+    projector sum_{j in g} |b_j><b_j|.  The basis comes from the caller,
+    so those projectors pass the measurement rule: a basis that is not
+    orthonormal fails it.
     """
     if not basis:
         raise ShapeMismatchError("basis needs at least one vector")
@@ -252,14 +273,23 @@ def measurement_from_basis_grouping(
     if len(basis) != dim:
         raise ShapeMismatchError(f"{len(basis)} basis vectors for dim {dim}")
     b = np.column_stack([s.amplitudes for s in basis])
+    if not (_is_sequence(grouping) and all(map(_is_sequence, grouping))):
+        raise ShapeMismatchError(
+            f"grouping must be a sequence of index sequences, got {grouping!r}")
     # An empty group is the rank-0 outcome that Measurement refuses.
     if sorted(_integer(i, "grouping entry") for group in grouping
               for i in group) != list(range(dim)):
         raise ShapeMismatchError(
             f"grouping {grouping!r} is not a partition of range({dim})"
         )
-    return _measurement_from_columns([b[:, list(g)] for g in grouping],
-                                     labels)
+    return Measurement(_frame_stack([b[:, list(g)] for g in grouping]),
+                       labels)
+
+
+def _is_sequence(value) -> bool:
+    """A sequence other than a string, or a numpy array of >= 1 axis."""
+    return (isinstance(value, Sequence) and not isinstance(value, str)
+            or isinstance(value, np.ndarray) and value.ndim > 0)
 
 
 def measurement_from_observable(matrix) -> Measurement:
@@ -272,7 +302,7 @@ def measurement_from_observable(matrix) -> Measurement:
     single-outcome measurement {identity}.  The observable must be finite
     and Hermitian within DEFAULT_TOL * max(1, max |entry|).
     """
-    arr = _square(matrix, "observable").astype(np.complex128, copy=False)
+    arr = _square(matrix, "observable")
     _check_dim(arr.shape[0], "observable")
     scale = max(1.0, float(np.max(np.abs(arr))))
     if not (np.all(np.isfinite(arr)) and np.max(np.abs(arr - arr.conj().T))
@@ -287,9 +317,9 @@ def measurement_from_observable(matrix) -> Measurement:
         if vals[i] - vals[i - 1] > _DEGENERACY_TOL * spread:
             clusters.append([])
         clusters[-1].append(i)
-    return _measurement_from_columns(
-        [vecs[:, idxs] for idxs in clusters],
-        [repr(float(np.mean(vals[idxs]))) for idxs in clusters])
+    return Measurement._trusted(
+        _frame_stack([vecs[:, idxs] for idxs in clusters]),
+        tuple(repr(float(np.mean(vals[idxs]))) for idxs in clusters))
 
 
 def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
@@ -397,7 +427,8 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(_array(self.probabilities, "distribution"), np.float64)
+        arr = _frozen(_array(self.probabilities, "distribution", np.float64),
+                      np.float64)
         if arr.ndim != 1 or not arr.size:
             raise ShapeMismatchError(
                 "distribution must be one-dimensional and nonempty")
@@ -457,5 +488,5 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
     cuts = np.sort(rng.choice(dim - 1, size=num_outcomes - 1, replace=False) + 1) \
         if num_outcomes > 1 else np.array([], dtype=int)
     bounds = [0, *cuts.tolist(), dim]
-    return _measurement_from_columns(
-        [q[:, order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])])
+    return Measurement._trusted(_frame_stack(
+        [q[:, order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]))

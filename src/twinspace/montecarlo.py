@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (StateVector, TwoStateVector, _check_unit, _count, _real,
-                   _rng, _unchecked)
+from .core import (StateVector, TwoStateVector, _array, _check_unit, _count,
+                   _frozen, _real, _rng, _unchecked)
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -134,19 +134,30 @@ class PrePostExperiment(MixtureExperiment):
 
 @dataclass(frozen=True, eq=False)
 class TrialLog:
-    """Joint counts of (outcome observed AND post-selection succeeded)."""
+    """Joint counts of (outcome observed AND post-selection succeeded).
+
+    ``outcome_counts`` are whole numbers, one per outcome, non-negative and
+    summing to at most ``trials``, a count (an integer >= 1).  ``simulate``
+    and ``merge_logs`` build their logs valid by construction, unchecked.
+    """
 
     outcome_counts: np.ndarray
     trials: int
 
     def __post_init__(self):
-        counts = np.array(self.outcome_counts, dtype=np.int64, copy=True)
-        counts.setflags(write=False)
+        trials = _count(self.trials, "trials")
+        counts = _frozen(_array(self.outcome_counts, "outcome count array",
+                                np.int64), np.int64)
         if counts.ndim != 1:
             raise ShapeMismatchError("outcome counts must be one-dimensional")
-        if int(counts.sum()) > self.trials or np.any(counts < 0):
+        if not np.array_equal(counts, self.outcome_counts):
+            raise ShapeMismatchError(
+                f"outcome counts must be whole numbers, got "
+                f"{self.outcome_counts!r}")
+        if int(counts.sum()) > trials or np.any(counts < 0):
             raise ShapeMismatchError("counts exceed trials or are negative")
         object.__setattr__(self, "outcome_counts", counts)
+        object.__setattr__(self, "trials", trials)
 
     @property
     def successes(self) -> int:
@@ -157,7 +168,8 @@ def merge_logs(a: TrialLog, b: TrialLog) -> TrialLog:
     """Combine shard results by addition."""
     if a.outcome_counts.shape != b.outcome_counts.shape:
         raise ShapeMismatchError("logs have different outcome counts")
-    return TrialLog(a.outcome_counts + b.outcome_counts, a.trials + b.trials)
+    return _unchecked(TrialLog, a.outcome_counts + b.outcome_counts,
+                      a.trials + b.trials)
 
 
 def joint_probabilities(exp: MixtureExperiment) -> np.ndarray:
@@ -213,7 +225,7 @@ def simulate(exp: MixtureExperiment) -> TrialLog:
         outcomes = np.clip(outcomes - comp * k, 0, k - 1)
         accepted = rng.random(n) < q[comp, outcomes]
         counts = counts + np.bincount(outcomes[accepted], minlength=k)
-    return TrialLog(counts, exp.trials)
+    return _unchecked(TrialLog, counts, exp.trials)
 
 
 #: The mixture name of ``simulate``, which samples every experiment.

@@ -41,9 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector, TwoStateVector, _norm, _unchecked
+from .core import (DEFAULT_TOL, StateVector, TwoStateVector, _frozen, _norm,
+                   _unchecked, trace_functional)
 from .errors import KernelDimensionError, NoWitnessError
-from .measurement import Measurement, _amplitudes, forms_story
+from .measurement import Measurement, Projector, _amplitudes, forms_story
 
 
 class StoryCase(Enum):
@@ -70,11 +71,10 @@ class StoryCertificate:
 
     @cached_property
     def measurement(self) -> Measurement:
-        a = self.witness.amplitudes / self.witness.norm
-        p = np.outer(a, a.conj())
+        p = Projector.onto_state(self.witness).matrix
         if self.witness.dim == 1:
-            return Measurement((p,))
-        return Measurement((p, np.eye(self.witness.dim) - p))
+            return Measurement._trusted(_frozen([p]))
+        return Measurement._trusted(_frozen([p, np.eye(self.witness.dim) - p]))
 
     def to_json(self) -> dict:
         return {
@@ -114,9 +114,8 @@ def find_story_measurement(v: TwoStateVector) -> StoryCertificate:
         witness = _unchecked(StateVector, amps)
 
     # Tr(|w><w| M) on the witness projector alone, no measurement built.
-    a = witness.amplitudes / witness.norm
-    amplitude = float(np.abs(_amplitudes(np.outer(a, a.conj())[np.newaxis],
-                                         m_mat)[0]))
+    p = Projector.onto_state(witness).matrix
+    amplitude = float(np.abs(_amplitudes(p[np.newaxis], m_mat)[0]))
     if amplitude <= floor:
         raise NoWitnessError(
             f"branch {case.value} produced amplitude {amplitude:.3e} "
@@ -127,7 +126,7 @@ def find_story_measurement(v: TwoStateVector) -> StoryCertificate:
 
 def is_traceless(v: TwoStateVector) -> bool:
     """True iff |Tr matrix(v)| <= DEFAULT_TOL * ||v||."""
-    return abs(np.trace(v.matrix)) <= DEFAULT_TOL * v.hs_norm
+    return abs(trace_functional(v)) <= DEFAULT_TOL * v.hs_norm
 
 
 #: Basis rows per step of the projection off the constraint rows: a

@@ -37,10 +37,10 @@ def builds(monkeypatch):
 
     build = core._unchecked
 
-    def unchecked(cls, value):
+    def unchecked(cls, value, *rest):
         if cls in (StateVector, TwoStateVector, OutcomeDistribution):
             log.append(("unchecked", cls))
-        return build(cls, value)
+        return build(cls, value, *rest)
 
     for info in pkgutil.iter_modules(twinspace.__path__):
         module = importlib.import_module(f"twinspace.{info.name}")

@@ -18,8 +18,11 @@ from twinspace import (
     DimensionMismatchError,
     FeasibilityReport,
     FeasibilityVerdict,
+    Measurement,
     MixtureExperiment,
+    OutcomeDistribution,
     PrePostExperiment,
+    Projector,
     SchmidtDecomposition,
     ShapeMismatchError,
     StateVector,
@@ -31,6 +34,7 @@ from twinspace import (
     find_story_measurement,
     hs_inner,
     is_separable,
+    measurement_from_observable,
     mixture_statistics,
     schmidt,
     time_reverse,
@@ -75,6 +79,30 @@ def test_state_vector_rejects_matrix_input():
         StateVector(np.eye(2))
     with pytest.raises(ShapeMismatchError, match="ragged"):
         StateVector([1.0, [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(["a", "b"]),
+    lambda: Projector([["a"]]),
+    lambda: Measurement([[["a"]]]),
+    lambda: measurement_from_observable([["a"]]),
+    lambda: TwoStateVector([[{}]]),
+    lambda: TwoStateVector([[10**400]]),
+    lambda: OutcomeDistribution(["a"]),
+    lambda: TwoStateVector.from_json({"dim": 1, "matrix": [[[{}, 0.0]]]}),
+])
+def test_entries_that_are_no_numbers_are_shape_faults(build):
+    """One conversion gate: an entry that does not convert to a number is
+    a ShapeMismatchError, not a bare ValueError, TypeError or
+    OverflowError."""
+    with pytest.raises(ShapeMismatchError, match="not numeric"):
+        build()
+
+
+def test_entries_that_convert_keep_their_value():
+    assert StateVector([2**70, 1]).amplitudes[0] == 2.0 ** 70
+    with pytest.raises(ZeroVectorError, match="non-finite"):
+        StateVector([None, 1])  # None converts to NaN, refused as before
 
 
 def test_state_vector_is_read_only():

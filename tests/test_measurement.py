@@ -205,6 +205,10 @@ def test_basis_grouping_rejects_bad_partition():
         measurement_from_basis_grouping(basis, [[0], []])
     with pytest.raises(ShapeMismatchError):
         measurement_from_basis_grouping([], [])
+    # Not a sequence of sequences of integers: refused before iteration.
+    for grouping in ([0, 1], 5, [[0], 1], "01", None):
+        with pytest.raises(ShapeMismatchError, match="sequence of index"):
+            measurement_from_basis_grouping(basis, grouping)
 
 
 def test_basis_grouping_refuses_non_integer_entries_and_mixed_dims():
@@ -563,29 +567,93 @@ def test_projectors_are_read_only_views_of_the_stack():
 
 
 def test_every_builder_checks_one_stack(monkeypatch):
-    """Each builder reaches the rule once, on the (k, d, d) stack, and
-    builds no intermediate Projector (which would check its own matrix)."""
+    """The four entry points of outside matrices reach the rule once, on
+    the (k, d, d) stack, and build no intermediate Projector (which would
+    check its own matrix); the five builders of a unitary frame, valid by
+    construction, never reach it."""
     shapes = []
     check = measurement_module._check_projectors
     monkeypatch.setattr(measurement_module, "_check_projectors",
                         lambda stack: shapes.append(stack.shape) or check(stack))
-    builders = [
-        (2, 2, lambda: Measurement((np.diag([1.0, 0.0]),
-                                    np.diag([0.0, 1.0])))),
-        (2, 2, lambda: validate_measurement([np.diag([1.0, 0.0]),
-                                             np.diag([0.0, 1.0])])),
-        (2, 2, lambda: Measurement.from_json(DIAGONAL.to_json())),
-        (1, 3, lambda: Measurement.trivial(3)),
-        (3, 4, lambda: random_measurement(4, 3, 0)),
-        (2, 2, lambda: measurement_from_basis_grouping([KET0, KET1],
-                                                       [[0], [1]])),
-        (2, 3, lambda: measurement_from_observable(np.diag([1.0, 2.0, 2.0]))),
-        (2, 2, lambda: find_story_measurement(E01).measurement),
+    outside = [
+        lambda: Measurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+        lambda: validate_measurement([np.diag([1.0, 0.0]),
+                                      np.diag([0.0, 1.0])]),
+        lambda: Measurement.from_json(DIAGONAL.to_json()),
+        lambda: measurement_from_basis_grouping([KET0, KET1], [[0], [1]]),
     ]
-    for k, d, build in builders:
+    trusted = [
+        lambda: random_measurement(4, 3, 0),
+        lambda: measurement_from_observable(np.diag([1.0, 2.0, 2.0])),
+        lambda: Measurement.trivial(3),
+        lambda: find_story_measurement(E01).measurement,
+        lambda: Projector.onto_state(PLUS),
+    ]
+    for build in outside:
         shapes.clear()
         build()
-        assert shapes == [(k, d, d)]
+        assert shapes == [(2, 2, 2)]
+    for build in trusted:
+        shapes.clear()
+        build()
+        assert shapes == []
+
+
+def assert_the_rule_accepts(m):
+    """The measurement rule, the reference, accepts a trusted build and
+    stores the same stack, bit for bit, and the same labels."""
+    again = Measurement(m.projectors, m.labels)
+    assert again._stacked.shape == m._stacked.shape
+    assert again._stacked.tobytes() == m._stacked.tobytes()
+    assert again.labels == m.labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, MAX_DIM), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_random_measurements_pass_the_rule(dim, seed, data):
+    k = data.draw(st.integers(1, dim))
+    assert_the_rule_accepts(random_measurement(dim, k, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       spectrum=st.lists(st.integers(-2, 2), min_size=1, max_size=12),
+       log_scale=st.floats(-300.0, 300.0))
+def test_observable_measurements_pass_the_rule(seed, spectrum, log_scale):
+    """Degenerate spectra (repeated integer eigenvalues) in a random
+    eigenframe, at scales 1e-300 to 1e300."""
+    d = len(spectrum)
+    u = unitary_blocks(d, 1, np.random.default_rng(seed))[0]
+    h = (u * np.array(spectrum, dtype=float)) @ u.conj().T
+    h = 10.0 ** log_scale * (h + h.conj().T) / 2
+    assert_the_rule_accepts(measurement_from_observable(h))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, MAX_DIM])
+def test_trivial_measurements_pass_the_rule(dim):
+    assert_the_rule_accepts(Measurement.trivial(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3, MAX_DIM]),
+       seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["any", "antisymmetric", "zero diagonal"]))
+def test_story_witness_measurements_pass_the_rule(dim, seed, shape):
+    """Every witness case: a random matrix, an antisymmetric one and one
+    with a zero diagonal; the witness projector passes the projector
+    rule."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if shape == "antisymmetric":
+        a = a - a.T
+    elif shape == "zero diagonal":
+        np.fill_diagonal(a, 0.0)
+    assume(np.any(a))
+    cert = find_story_measurement(TwoStateVector(a))
+    assert_the_rule_accepts(cert.measurement)
+    p = Projector.onto_state(cert.witness).matrix
+    assert Projector(p).matrix.tobytes() == p.tobytes()
 
 
 NAN_PROJECTORS = [np.array([[1.0, np.nan], [np.nan, 0.0]]), np.diag([0.0, 1.0])]

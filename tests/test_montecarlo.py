@@ -242,6 +242,28 @@ def test_trial_log_validation():
         TrialLog(np.array([5, 6]), trials=10)  # counts exceed trials
     with pytest.raises(ShapeMismatchError):
         TrialLog(np.array([-1, 0]), trials=10)
+    # Counts are whole numbers, never truncated; trials follow the count
+    # rule.
+    for counts, trials in (([1.5, 2], 10), ([np.nan, 1], 10), ([2**70], 10),
+                           ([1, 2], "x"), ([1, 2], 0), ([1, 2], True)):
+        with pytest.raises(ShapeMismatchError):
+            TrialLog(counts, trials)
+    log = TrialLog([1.0, 2.0], np.int64(10))
+    np.testing.assert_array_equal(log.outcome_counts, [1, 2])
+    assert log.outcome_counts.dtype == np.int64 and type(log.trials) is int
+
+
+def test_simulate_and_merge_build_logs_without_a_second_check(monkeypatch):
+    exp = PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=3)
+    expected = simulate(exp).outcome_counts
+
+    def refuse(self):
+        raise AssertionError("TrialLog checked again")
+
+    monkeypatch.setattr(TrialLog, "__post_init__", refuse)
+    log = merge_logs(simulate(exp), simulate(exp))
+    np.testing.assert_array_equal(log.outcome_counts, 2 * expected)
+    assert log.trials == 200 and not log.outcome_counts.flags.writeable
 
 
 # ---------------------------------------------------------------------------

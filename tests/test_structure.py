@@ -14,6 +14,7 @@ from twinspace import (
     KernelDimensionError,
     Measurement,
     MeasurementValidationError,
+    Mixture,
     NotAStoryError,
     NullSubspace,
     StoryCase,
@@ -22,11 +23,15 @@ from twinspace import (
     builtin_workspace,
     find_story_measurement,
     forms_story,
+    is_separable,
     is_traceless,
     membership_in_null,
     null_subspace,
     outcome_amplitudes,
     random_measurement,
+    replicates_on,
+    time_reversal_equivalence_check,
+    time_reverse,
     trace_functional,
 )
 
@@ -421,11 +426,19 @@ def test_one_story_predicate_near_threshold_max_dim(seed, k, log_eps):
 
 
 def test_near_threshold_example():
+    """The verdicts at the threshold, each a Python bool like every other
+    public predicate's."""
     v = TwoStateVector(NEAR_THRESHOLD)
     m = builtin_workspace().measurement("computational")
     assert not forms_story(v, m)
     assert abl_raises(v, m)
     assert membership_in_null(v, null_subspace(m))
+    for verdict in (forms_story(v, m), is_separable(v), is_traceless(v),
+                    membership_in_null(v, null_subspace(m)),
+                    replicates_on(Mixture.point(v),
+                                  Mixture.point(time_reverse(v)), m),
+                    time_reversal_equivalence_check(v, [m])):
+        assert type(verdict) is bool
 
 
 def test_near_threshold_inputs_reach_both_verdicts():
