@@ -94,19 +94,35 @@ def _square(matrix, what: str) -> np.ndarray:
     return arr
 
 
+def _rescaled(array: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
+    """``array`` times 2**-e, exactly, and e: the power of two that brings
+    ``peak``, its max |entry|, into [1/2, 1).  2**-e is applied as two
+    factors, since for a subnormal peak it exceeds the float range."""
+    e = math.frexp(peak)[1]
+    half = -e // 2
+    return array * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half), e
+
+
 def _norm(array: np.ndarray) -> float:
     """2-norm (Frobenius for a matrix) of a finite array at any scale:
-    outside _SAFE_RANGE it is recomputed on the array scaled exactly by the
-    power of two that brings max |entry| into [1/2, 1), and scaled back.
-    A max |entry| above _SAFE_RANGE[1] already puts the norm there, so it
-    is rescaled before the sum of squares can overflow."""
+    outside _SAFE_RANGE it is recomputed on the array rescaled exactly into
+    [1/2, 1) and scaled back.  A max |entry| above _SAFE_RANGE[1] already
+    puts the norm there, so it is rescaled before the sum of squares can
+    overflow."""
     peak = float(np.abs(array).max())
     if peak <= _SAFE_RANGE[1]:
         n = float(np.linalg.norm(array))  # 0 on underflow
         if _SAFE_RANGE[0] <= n <= _SAFE_RANGE[1]:
             return n
-    e = math.frexp(peak)[1]
-    return math.ldexp(float(np.linalg.norm(array * math.ldexp(1.0, -e))), e)
+    scaled, e = _rescaled(array, peak)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
+
+
+def _unit(array: np.ndarray) -> np.ndarray:
+    """A nonzero finite array divided by its 2-norm, at any scale: both
+    are rescaled exactly first, so a subnormal norm is never the divisor."""
+    scaled = _rescaled(array, float(np.abs(array).max()))[0]
+    return scaled / np.linalg.norm(scaled)
 
 
 def _checked(data, ndim: int, what: str) -> np.ndarray:
@@ -163,6 +179,16 @@ def _count(value, what: str) -> int:
     return n
 
 
+def _check_term(term, kinds: tuple, what: str) -> None:
+    """The one term rule: ``term`` is a (weight, *parts) tuple or list whose
+    parts are one instance of each of ``kinds``, in order."""
+    if not (isinstance(term, (tuple, list)) and len(term) == len(kinds) + 1
+            and all(map(isinstance, term[1:], kinds))):
+        raise ShapeMismatchError(
+            f"{what} is not a (weight, "
+            f"{', '.join(k.__name__ for k in kinds)}) tuple")
+
+
 def _check_unit(state, name: str) -> None:
     """Refuse a state whose norm is not one within _UNIT_TOL."""
     if abs(state.norm - 1.0) > _UNIT_TOL:
@@ -207,8 +233,7 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Construct a unit-norm state by rescaling ``amplitudes``."""
-        raw = cls(amplitudes)  # |a_i| <= norm <= d max|a_i|: finite, nonzero
-        return _unchecked(cls, raw.amplitudes / raw.norm)
+        return _unchecked(cls, _unit(cls(amplitudes).amplitudes))
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
@@ -272,25 +297,37 @@ class TwoStateVector:
         Parameters
         ----------
         terms : iterable of (weight, ket, bra)
+            Each a tuple or list of a number, through the conversion gate
+            ``_array``, and two StateVectors (ShapeMismatch otherwise).
             All kets and bras must share one dimension; the summed matrix
             must not vanish.
         """
-        terms = list(terms)
+        try:
+            terms = list(terms)
+        except TypeError:
+            raise ShapeMismatchError(
+                f"terms must be an iterable, got {terms!r}") from None
         if not terms:
             raise ZeroVectorError("no terms given")
-        dim = terms[0][1].dim
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for weight, ket, bra in terms:
+        acc = 0.0
+        for i, term in enumerate(terms):
+            _check_term(term, (StateVector, StateVector), f"term {i}")
+            weight = _array(term[0], f"term {i} weight")
+            if weight.ndim:
+                raise ShapeMismatchError(
+                    f"term {i} weight must be a number, got shape {weight.shape}")
+            _, ket, bra = term
+            dim = terms[0][1].dim
             if ket.dim != dim or bra.dim != dim:
                 raise DimensionMismatchError(
                     f"term dimensions {ket.dim}, {bra.dim} != {dim}"
                 )
-            acc += complex(weight) * np.outer(ket.amplitudes, bra.amplitudes.conj())
+            acc = acc + weight * np.outer(ket.amplitudes, bra.amplitudes.conj())
         return cls(acc)
 
     def unit(self) -> "TwoStateVector":
         """Rescale to Hilbert-Schmidt norm one (presentation only)."""
-        return _unchecked(TwoStateVector, self.matrix / self.hs_norm)
+        return _unchecked(TwoStateVector, _unit(self.matrix))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "matrix": array_to_json(self.matrix)}

@@ -21,9 +21,10 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
   and a measurement family alone: the target's zero outcomes, those the
   story rule counts as zero (|A_i| <= DEFAULT_TOL * ||target||), each of
   which forces Tr(P Phi) = 0 on every would-be mixture member Phi,
-* ``separable_feasibility`` attacks the resulting bilinear system with a
-  seeded multi-start local descent over unit vectors alpha, beta
-  (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), three-valued verdict,
+* ``separable_feasibility`` attacks the resulting bilinear system with one
+  batched Levenberg-Marquardt descent of seeded starts over unit vectors
+  alpha, beta (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), numpy only,
+  three-valued verdict,
 * ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
   coefficient stack, eliminates exactly on its (d, d) coefficient arrays
   and prints the contradiction, and
@@ -35,7 +36,6 @@ only the scripted reduction is exact.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -75,6 +75,13 @@ DEFAULT_FEAS_TOL = 1e-6
 #: DEFAULT_FEAS_TOL: the floor sets the scale of the residual minimum of an
 #: infeasible system, which must sit far above the FEASIBLE band).
 DEFAULT_ANCHOR_FLOOR = 0.1
+
+#: Levenberg-Marquardt steps per start (a start at value 0 is a fixed point).
+_DESCENT_STEPS = 60
+
+#: Least damping: J^T J is singular along the phase and scale symmetries of
+#: (alpha, beta), so a damping that underflows against it breaks the solve.
+_DAMPING_FLOOR = 1e-12
 
 #: Random (alpha, beta) pairs drawn per step of scan_separable_residual.
 _SCAN_BATCH = 1 << 16
@@ -304,12 +311,8 @@ class FeasibilityReport:
     the summed squared constraint amplitudes plus the squared anchor
     shortfall.  ``witness``, unit (alpha, beta), is present only for
     FEASIBLE, where it meets every constraint within the feasibility tolerance.
-
-    The solver diagnostics are deterministic in (starts, seed):
-    ``status_counts`` maps each L-BFGS-B termination status (0 converged,
-    1 iteration limit, 2 line search stopped) to its number of starts, and
-    ``median_nit`` and ``median_nfev`` are the median iteration and
-    objective-call counts per start.  A report built by hand may omit them.
+    ``median_nit``, the median number of descent steps a start kept, is
+    deterministic in (starts, seed); a report built by hand may omit it.
     """
 
     verdict: FeasibilityVerdict
@@ -317,9 +320,7 @@ class FeasibilityReport:
     best_residual: float
     starts: int
     seed: int
-    status_counts: dict[int, int] = field(default_factory=dict)
     median_nit: float | None = None
-    median_nfev: float | None = None
 
     def __post_init__(self):
         if self.witness is not None:  # so witness_vector is finite, nonzero
@@ -339,70 +340,86 @@ class FeasibilityReport:
                           np.outer(alpha.amplitudes, beta.amplitudes))
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "verdict": self.verdict.value,
             "best_residual": self.best_residual,
             "starts": self.starts,
             "seed": self.seed,
-            "witness": None,
-            "status_counts": {str(status): n
-                              for status, n in self.status_counts.items()},
+            "witness": None if self.witness is None else {
+                "alpha": self.witness[0].to_json(),
+                "beta": self.witness[1].to_json()},
             "median_nit": self.median_nit,
-            "median_nfev": self.median_nfev,
         }
-        if self.witness is not None:
-            alpha, beta = self.witness
-            obj["witness"] = {"alpha": alpha.to_json(), "beta": beta.to_json()}
-        return obj
 
 
-def _feasibility_objective(sys: ZeroConstraintSystem):
-    """Scale-invariant objective over stacked real coordinates of (alpha,
-    beta), returned with its gradient.
+def _descent_terms(stack: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Values (S,), real residuals (S, 2z + 1) and their exact Jacobian
+    (S, 2z + 1, 4d) at the unit rows ``alpha``, ``beta`` (S, d).
 
-    The value is sum_z |alpha^T C_z beta|^2 + max(0, a - |g|)^2 with
-    g = alpha^T A beta and a = DEFAULT_ANCHOR_FLOOR, on alpha = r_a/||r_a||,
-    beta = r_b/||r_b||.  The gradient is closed form.  The Wirtinger
-    derivative in alpha is u = sum_z 2 conj(amp_z) C_z beta, less
-    2 * shortfall * conj(g)/|g| * A beta while the shortfall is positive;
-    in beta it is the same with the rows alpha^T C_z and alpha^T A.  It is
-    chained through the normalization (Kreutz-Delgado, arXiv:0906.4835) by
-    projecting out the radial part, (u - Re(u^T alpha) conj(alpha))/||r_a||,
-    and split into (Re, -Im) for the real coordinates.
+    ``stack`` holds the z constraint matrices C_z, then the anchor A.  The
+    residuals are Re and Im of alpha^T C_z beta, then the shortfall
+    max(0, a - |g|), g = alpha^T A beta, a = DEFAULT_ANCHOR_FLOOR; a value
+    is their sum of squares.  The Jacobian is in the step [Re da, Re db,
+    Im da, Im db] followed by renormalization: the holomorphic rows C_z beta
+    and alpha^T C_z (Wirtinger derivative, Kreutz-Delgado, arXiv:0906.4835)
+    less amp * [Re alpha, Re beta, Im alpha, Im beta], the radial part.  The
+    shortfall row is -Re(conj(g)/|g| * row_g) while the shortfall is
+    positive, zero otherwise and at g = 0, where |g| has no derivative.
     """
-    # The anchor stacked under the zero constraints: one product gives every
-    # amplitude, one weighted sum each derivative.
-    stack = np.concatenate([sys.constraint_matrices(),
-                            sys.anchor_matrix()[np.newaxis]])
+    stack_beta = np.matmul(stack, beta[:, None, :, None])[..., 0]
+    alpha_stack = np.matmul(alpha[:, None, None, :], stack)[..., 0, :]
+    amps = np.matmul(alpha_stack, beta[..., None])[..., 0]
+    radial = np.concatenate([alpha.real, beta.real, alpha.imag, beta.imag], 1)
+    hol = np.concatenate([stack_beta, alpha_stack], axis=2)
+    rows = (np.concatenate([hol, 1j * hol], axis=2)
+            - amps[..., None] * radial[:, None])
+    anchor_amp = np.abs(amps[:, -1])
+    shortfall = np.maximum(0.0, DEFAULT_ANCHOR_FLOOR - anchor_amp)
+    phase = np.divide(amps[:, -1].conj(), anchor_amp,
+                      out=np.zeros_like(amps[:, -1]),
+                      where=(shortfall > 0.0) & (anchor_amp > 0.0))
+    residuals = np.concatenate([amps[:, :-1].real, amps[:, :-1].imag,
+                                shortfall[:, None]], axis=1)
+    jacobian = np.concatenate([rows[:, :-1].real, rows[:, :-1].imag,
+                               -(phase[:, None] * rows[:, -1]).real[:, None]],
+                              axis=1)
+    return np.sum(residuals * residuals, axis=1), residuals, jacobian
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        ar, ai, br, bi = np.split(x, 4)
-        alpha = ar + 1j * ai
-        beta = br + 1j * bi
-        na, nb = np.linalg.norm(alpha), np.linalg.norm(beta)
-        if na < 1e-12 or nb < 1e-12:
-            return 1e6, np.zeros_like(x)
-        alpha = alpha / na
-        beta = beta / nb
-        stack_beta = stack @ beta
-        alpha_stack = alpha @ stack
-        amps = stack_beta @ alpha
-        residual = float(np.sum(np.abs(amps[:-1]) ** 2))
-        anchor_amp = abs(amps[-1])
-        shortfall = max(0.0, DEFAULT_ANCHOR_FLOOR - anchor_amp)
-        weights = 2.0 * amps.conj()
-        # |g| has no derivative at g = 0; the shortfall term then adds none.
-        weights[-1] = (-shortfall * weights[-1] / anchor_amp
-                       if shortfall > 0.0 and anchor_amp > 0.0 else 0.0)
-        u_alpha = weights @ stack_beta
-        u_beta = weights @ alpha_stack
-        u_alpha = (u_alpha - (u_alpha @ alpha).real * alpha.conj()) / na
-        u_beta = (u_beta - (u_beta @ beta).real * beta.conj()) / nb
-        grad = np.concatenate([u_alpha.real, -u_alpha.imag,
-                               u_beta.real, -u_beta.imag])
-        return residual + shortfall * shortfall, grad
 
-    return objective
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _descend(stack: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """_DESCENT_STEPS Levenberg-Marquardt steps from the rows of ``alpha``
+    and ``beta`` (S, d), renormalized: solve (J^T J + mu_s I) dx = -J^T r,
+    step, renormalize, and keep the step where the value strictly drops.
+    Start s damps on its own, mu_s = 1e-3, then max(mu_s / 3, _DAMPING_FLOOR)
+    after a kept step and 2 mu_s after a refused one.  Every operation acts
+    start by start, so no start depends on the others or on their number.
+    Returns the final unit alpha, beta, their values and kept-step counts.
+    """
+    d = alpha.shape[1]
+    alpha, beta = _unit_rows(alpha), _unit_rows(beta)
+    values, residuals, jacobian = _descent_terms(stack, alpha, beta)
+    damping = np.full(len(values), 1e-3)
+    kept = np.zeros(len(values), dtype=np.int64)
+    identity = np.eye(4 * d)
+    for _ in range(_DESCENT_STEPS):
+        jt = jacobian.transpose(0, 2, 1)
+        dx = np.linalg.solve(jt @ jacobian + damping[:, None, None] * identity,
+                             -(jt @ residuals[..., None]))[..., 0]
+        dz = dx[:, :2 * d] + 1j * dx[:, 2 * d:]
+        trial = (_unit_rows(alpha + dz[:, :d]), _unit_rows(beta + dz[:, d:]))
+        new = _descent_terms(stack, *trial)
+        keep = new[0] < values
+        for old, fresh in zip((alpha, beta, values, residuals, jacobian),
+                              (*trial, *new)):
+            old[keep] = fresh[keep]
+        damping = np.where(keep, np.maximum(damping / 3.0, _DAMPING_FLOOR),
+                           2.0 * damping)
+        kept += keep
+    return alpha, beta, values, kept
 
 
 def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
@@ -410,54 +427,36 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
     """Search for a separable vector satisfying a zero-constraint system.
 
     Minimizes sum_z |Tr(P_z Phi)|^2 over unit alpha, beta with a penalty
-    keeping the anchor amplitude at or above DEFAULT_ANCHOR_FLOOR, restarted
-    from ``starts`` seeded random points (start s derives its generator
-    from (seed, s), so results do not depend on evaluation order).  Each
-    start is an L-BFGS-B descent on the analytic gradient of that objective
-    (closed-form Wirtinger derivative chained through the normalization),
-    not on finite differences; the report carries its solver diagnostics.
+    keeping the anchor amplitude at or above DEFAULT_ANCHOR_FLOOR, from
+    ``starts`` seeded random points (start s splits 4d normals of the
+    generator of (seed, s) into Re alpha, Im alpha, Re beta, Im beta).  All
+    starts descend together, by the damped Gauss-Newton (Levenberg-Marquardt)
+    steps of ``_descend`` on the exact Jacobian of the residuals.
 
     Verdict: FEASIBLE if the best residual is <= DEFAULT_FEAS_TOL^2 (the
     minimizer is returned as witness), INFEASIBLE_EVIDENCE if it stays >=
     1e3 * DEFAULT_FEAS_TOL^2 across all starts, INCONCLUSIVE between.
     """
-    from scipy.optimize import minimize
-
-    _count(starts, "starts")
-    objective = _feasibility_objective(sys)
+    starts = _count(starts, "starts")
     d = sys.dim
-    best_value = np.inf
-    best_x = None
-    statuses, nits, nfevs = [], [], []
-    for s in range(starts):
-        rng = _rng(seed, s)
-        x0 = rng.standard_normal(4 * d)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-20, "gtol": 1e-14})
-        statuses.append(int(res.status))
-        nits.append(res.nit)
-        nfevs.append(res.nfev)
-        value = float(res.fun)
-        if value < best_value:
-            best_value, best_x = value, res.x
+    stack = np.concatenate([sys.constraint_matrices(),
+                            sys.anchor_matrix()[np.newaxis]])
+    x = np.array([_rng(seed, s).standard_normal(4 * d)
+                  for s in range(starts)]).reshape(starts, 4, d)
+    alpha, beta, values, kept = _descend(stack, x[:, 0] + 1j * x[:, 1],
+                                         x[:, 2] + 1j * x[:, 3])
+    best = int(np.argmin(values))
+    best_value = float(values[best])
+    witness = None
     if best_value <= DEFAULT_FEAS_TOL ** 2:
         verdict = FeasibilityVerdict.FEASIBLE
-        ar, ai, br, bi = np.split(best_x, 4)
-        alpha = ar + 1j * ai
-        beta = br + 1j * bi
-        witness = (
-            StateVector.normalized(alpha),
-            StateVector.normalized(beta),
-        )
+        witness = tuple(StateVector.normalized(z[best]) for z in (alpha, beta))
     elif best_value >= 1e3 * DEFAULT_FEAS_TOL ** 2:
         verdict = FeasibilityVerdict.INFEASIBLE_EVIDENCE
-        witness = None
     else:
         verdict = FeasibilityVerdict.INCONCLUSIVE
-        witness = None
     return FeasibilityReport(verdict, witness, best_value, starts, seed,
-                             dict(sorted(Counter(statuses).items())),
-                             float(np.median(nits)), float(np.median(nfevs)))
+                             float(np.median(kept)))
 
 
 def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
@@ -480,10 +479,10 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     while remaining > 0:
         n = min(_SCAN_BATCH, remaining)
         remaining -= n
-        a = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        b = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        a = _unit_rows(rng.standard_normal((n, d))
+                       + 1j * rng.standard_normal((n, d)))
+        b = _unit_rows(rng.standard_normal((n, d))
+                       + 1j * rng.standard_normal((n, d)))
         pairs = np.einsum("nk,nl->nkl", a, b).reshape(n, d * d)
         amps = pairs @ flat.T
         residuals = np.sum(np.abs(amps) ** 2, axis=1)

@@ -52,14 +52,16 @@ from .core import (
     _SAFE_RANGE,
     _array,
     _check_dim,
+    _check_term,
     _declared_array,
     _frozen,
     _integer,
-    _norm,
     _real,
+    _rescaled,
     _rng,
     _square,
     _unchecked,
+    _unit,
     array_to_json,
 )
 from .errors import (
@@ -300,7 +302,10 @@ def measurement_from_observable(matrix) -> Measurement:
     _DEGENERACY_TOL * (spectral range).  Outcome labels are the cluster
     mean eigenvalues.  A zero spectral range collapses everything to the
     single-outcome measurement {identity}.  The observable must be finite
-    and Hermitian within DEFAULT_TOL * max(1, max |entry|).
+    and Hermitian within DEFAULT_TOL * max(1, max |entry|).  Clusters and
+    labels are computed on eigenvalues rescaled exactly by a power of two
+    (the spectrum by its largest |eigenvalue|, a label by its cluster's),
+    so neither the range nor a cluster's sum overflows.
     """
     arr = _square(matrix, "observable")
     _check_dim(arr.shape[0], "observable")
@@ -309,17 +314,20 @@ def measurement_from_observable(matrix) -> Measurement:
             <= DEFAULT_TOL * scale):
         raise NotHermitianError("observable is not Hermitian")
     vals, vecs = np.linalg.eigh(arr)
-    spread = float(vals[-1] - vals[0])
-    if spread == 0.0:
+    if vals[0] == vals[-1]:
         return Measurement.trivial(arr.shape[0])
+    unit = _rescaled(vals, float(np.max(np.abs(vals))))[0]
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > _DEGENERACY_TOL * spread:
+        if unit[i] - unit[i - 1] > _DEGENERACY_TOL * (unit[-1] - unit[0]):
             clusters.append([])
         clusters[-1].append(i)
+    labels = []
+    for idxs in clusters:
+        scaled, e = _rescaled(vals[idxs], float(np.max(np.abs(vals[idxs]))))
+        labels.append(repr(math.ldexp(float(np.mean(scaled)), e)))
     return Measurement._trusted(
-        _frame_stack([vecs[:, idxs] for idxs in clusters]),
-        tuple(repr(float(np.mean(vals[idxs]))) for idxs in clusters))
+        _frame_stack([vecs[:, idxs] for idxs in clusters]), tuple(labels))
 
 
 def outcome_amplitudes(v: TwoStateVector, m: Measurement) -> np.ndarray:
@@ -381,7 +389,7 @@ def _abl(mags: np.ndarray) -> np.ndarray:
         total = float(np.sum(weights))
         if _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
             return weights / total
-    weights = (mags / _norm(mags)) ** 2
+    weights = _unit(mags) ** 2
     return weights / float(np.sum(weights))
 
 
@@ -405,11 +413,7 @@ def _check_weights(components, *kinds: type) -> tuple:
         raise ShapeMismatchError("mixture needs at least one component")
     comps, total = [], 0.0
     for i, comp in enumerate(components):
-        if not (isinstance(comp, (tuple, list)) and len(comp) == len(kinds) + 1
-                and all(map(isinstance, comp[1:], kinds))):
-            raise ShapeMismatchError(
-                f"mixture component {i} is not a (weight, "
-                f"{', '.join(k.__name__ for k in kinds)}) tuple")
+        _check_term(comp, kinds, f"mixture component {i}")
         w = _real(comp[0], "mixture weight")
         if not 0.0 <= w < math.inf:
             raise ShapeMismatchError(f"mixture weight {w!r} not in [0, inf)")

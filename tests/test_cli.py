@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinspace
 from twinspace import NullSubspace, TwoStateVector
 from twinspace.cli import build_parser, main
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
@@ -549,6 +553,26 @@ def test_json_report_is_json_dumps_of_the_handlers_payload(command, capsys):
     _, payload, _ = args.handler(args)
     assert run(argv, capsys)[1] == json.dumps(
         {"command": command, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+#: Runs reproduce 3 and a feasibility search with scipy unimportable; the
+#: tier-1 workflow runs the same line.
+NUMPY_ONLY = (
+    'import sys; sys.modules["scipy"] = None; from twinspace.cli import main; '
+    'sys.exit(main(["reproduce", "3"]) or main(["feasibility", '
+    '"qutrit_signed", "qutrit_family_1", "qutrit_family_2", '
+    '"qutrit_family_3", "--json"]))')
+
+
+def test_library_runs_without_scipy():
+    """The library needs numpy alone: with scipy made unimportable,
+    reproduce 3 and a feasibility search both exit 0."""
+    src = str(Path(twinspace.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout and '"verdict": "NOT_CERTIFIED"' in proc.stdout
 
 
 def test_console_script_smoke():

@@ -195,6 +195,23 @@ def test_from_pairs_rejects_cancellation():
         TwoStateVector.from_pairs([])
 
 
+K0 = StateVector.basis_state(2, 0)
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, K0, K0), ("a", K0, K0)], [({}, K0, K0)], [(10**400, K0, K0)],
+    [([1.0, 2.0], K0, K0)], [(1.0, K0, K0), (1.0,)],
+    [(1.0, [1.0, 0.0], K0)], [K0], 5,
+], ids=["string-weight", "dict-weight", "huge-weight", "array-weight",
+        "short-term", "list-ket", "bare-state", "not-iterable"])
+def test_from_pairs_refuses_a_malformed_term(terms):
+    """Terms are an iterable of (weight, StateVector, StateVector) tuples
+    whose weight passes the one conversion gate; anything else is a shape
+    fault."""
+    with pytest.raises(ShapeMismatchError):
+        TwoStateVector.from_pairs(terms)
+
+
 def test_unit_rescales():
     v = TwoStateVector(np.array([[3.0, 0.0], [0.0, 4.0]]))
     assert v.unit().hs_norm == pytest.approx(1.0, abs=1e-15)

@@ -254,6 +254,18 @@ def test_observable_clusters_degenerate_eigenvalues():
     assert [p.rank for p in m.projectors] == [1, 2]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_observable_at_the_edge_of_the_float_range():
+    """A spectral range or a cluster sum beyond the float range neither
+    merges outcomes nor overflows a label."""
+    m = measurement_from_observable(np.diag([1e308, -1e308]))
+    assert m.labels == ("-1e+308", "1e+308")
+    np.testing.assert_array_equal(m.projectors[0].matrix, np.diag([0.0, 1.0]))
+    m = measurement_from_observable(np.diag([1.5e308, 1.5e308, -1.5e308]))
+    assert m.labels == ("-1.5e+308", "1.5e+308")
+    assert [p.rank for p in m.projectors] == [1, 2]
+
+
 def test_observable_constant_spectrum_is_trivial():
     m = measurement_from_observable(2.5 * np.eye(3))
     assert m.num_outcomes == 1
@@ -316,6 +328,8 @@ def test_abl_raises_without_story():
 #: The complex factor and scales from 1e-300 to 1e300; beyond about
 #: 1e154 (and below 1e-154) squared entries overflow (underflow).
 SCALES = [1e-7 - 2e3j, 1e-300, 1e-200, 1e-162, 1e-158, 1e154, 1e200, 1e300]
+#: Subnormal scales, down to the smallest float: exact on entries 0 and +-1.
+SUBNORMAL_SCALES = [1e-310, 5e-324]
 #: The rules rescale before squaring, so no scale makes numpy warn.
 NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -336,10 +350,11 @@ def test_abl_scale_invariant():
 @NO_RUNTIME_WARNING
 def test_story_verdicts_scale_invariant():
     """forms_story, abl_probabilities, find_story_measurement and
-    is_traceless give the unit-scale verdict at every scale."""
+    is_traceless give the unit-scale verdict at every scale, subnormal
+    ones included."""
     for matrix, scale in itertools.product(
             (np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]),
-            SCALES):
+            SCALES + SUBNORMAL_SCALES):
         v = TwoStateVector(np.asarray(matrix, dtype=complex))
         s = TwoStateVector(scale * v.matrix)
         story = forms_story(v, COMPUTATIONAL)
@@ -357,14 +372,21 @@ def test_story_verdicts_scale_invariant():
 
 @NO_RUNTIME_WARNING
 def test_state_norm_is_scale_safe():
-    """StateVector.norm, normalized and Projector.onto_state hold where
-    the sum of squares overflows or underflows; inside the safe range the
-    norm is numpy's, bit for bit."""
+    """StateVector.norm, normalized, TwoStateVector.unit and
+    Projector.onto_state hold where the sum of squares overflows or
+    underflows, down to subnormal entries; inside the safe range the norm
+    is numpy's, bit for bit."""
     assert StateVector([1e200, 1e200]).norm == pytest.approx(
         2.0 ** 0.5 * 1e200, rel=1e-15)
-    for amps in ([1e200, 1e200], [1e-200, 0.0], [1e-300j, 3e-300]):
+    assert StateVector([1e-310, 1e-310]).norm == pytest.approx(
+        2.0 ** 0.5 * 1e-310, rel=1e-12)
+    for amps in ([1e200, 1e200], [1e-200, 0.0], [1e-300j, 3e-300],
+                 [1e-310, 1e-310], [5e-324, 5e-324j]):
         assert StateVector.normalized(amps).norm == pytest.approx(
             1.0, abs=1e-15)
+    for scale in SUBNORMAL_SCALES:
+        assert TwoStateVector(scale * np.eye(2)).unit().hs_norm == \
+            pytest.approx(1.0, abs=1e-15)
     np.testing.assert_array_equal(
         Projector.onto_state(StateVector([1e200, 0.0])).matrix,
         np.diag([1.0, 0.0]))
