@@ -179,6 +179,17 @@ def _count(value, what: str) -> int:
     return n
 
 
+def _items(value, what: str) -> tuple:
+    """The items of an iterable argument as a tuple; a value that cannot be
+    iterated (a number, None) is a shape fault."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ShapeMismatchError(
+            f"{what} must be a sequence, got {type(value).__name__}") from None
+    return tuple(items)
+
+
 def _check_term(term, kinds: tuple, what: str) -> None:
     """The one term rule: ``term`` is a (weight, *parts) tuple or list whose
     parts are one instance of each of ``kinds``, in order."""
@@ -503,7 +514,7 @@ def _declared_array(obj, key: str, ndim: int, what: str) -> np.ndarray:
     check of the ``from_json`` readers."""
     try:
         dim, data = obj["dim"], obj[key]
-    except (KeyError, TypeError):  # a missing key, or not an object
+    except (LookupError, TypeError):  # a missing key, or not an object
         raise ShapeMismatchError(
             f"{what} entry must be an object with keys 'dim' and '{key}'"
         ) from None

@@ -48,6 +48,7 @@ from .core import (
     TwoStateVector,
     _check_unit,
     _count,
+    _items,
     _rng,
     _unchecked,
     time_reverse,
@@ -83,8 +84,11 @@ _DESCENT_STEPS = 60
 #: (alpha, beta), so a damping that underflows against it breaks the solve.
 _DAMPING_FLOOR = 1e-12
 
-#: Random (alpha, beta) pairs drawn per step of scan_separable_residual.
+#: Pairs per batch of scan_separable_residual; longer scans repeat whole ones.
 _SCAN_BATCH = 1 << 16
+
+#: Distance to an integer within which _snap_half_gaussian snaps 2 * part.
+_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +97,8 @@ class Mixture:
 
     ``components`` is a nonempty tuple of (weight, TwoStateVector) pairs;
     weights are real numbers, not bools, finite, nonnegative and summing to
-    one within 1e-9 (``measurement._check_weights``), all vectors share one
-    dim.
+    one within ``measurement._SUM_TOL`` (``_check_weights``), all vectors
+    share one dim.
     """
 
     components: tuple[tuple[float, TwoStateVector], ...]
@@ -179,7 +183,8 @@ def time_reversal_equivalence_check(v: TwoStateVector, measurements) -> bool:
     """True iff v and its time reversal are indistinguishable, by the gap
     rule of ``replicates_on``, on every measurement in the list."""
     fwd, rev = ((1.0, v),), ((1.0, time_reverse(v)),)
-    return all(_gap(fwd, rev, m) <= DEFAULT_TOL for m in measurements)
+    return all(_gap(fwd, rev, m) <= DEFAULT_TOL
+               for m in _items(measurements, "measurements"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +257,8 @@ class ZeroConstraintSystem:
     anchor: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "measurements", tuple(self.measurements))
+        object.__setattr__(self, "measurements",
+                           _items(self.measurements, "measurements"))
         if not self.measurements:
             raise ShapeMismatchError("zero system needs at least one measurement")
         mags = [_required_story(self.target, m) for m in self.measurements]
@@ -461,32 +467,36 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
 
 def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
                             seed: int) -> float:
-    """Brute-force floor: minimum constraint residual over random points.
+    """Sampled upper bound on the minimum of the unanchored residual.
 
-    Draws ``samples`` seeded random unit (alpha, beta) pairs and returns
-    the smallest sum of squared constraint amplitudes seen (no anchor
-    term).  An independent check on separable_feasibility: an infeasible
-    verdict is only credible if blind sampling also finds no
-    near-solution.
+    The least sum_z |alpha^T C_z beta|^2 / (||alpha||^2 ||beta||^2) over
+    ``samples`` seeded Gaussian pairs: no anchor term, so it can vanish where
+    the anchored residual cannot.  Batches of _SCAN_BATCH make a scan of
+    k * _SCAN_BATCH samples extend one of j * _SCAN_BATCH for j <= k; a
+    partial last batch draws other samples.
     """
     _count(samples, "samples")
     cs = sys.constraint_matrices()
-    d = sys.dim
-    flat = cs.reshape(-1, d * d)
+    z, d = len(cs), sys.dim
+    if z == 0:
+        return 0.0
+    cmat = cs.transpose(1, 0, 2).reshape(d, z * d)
+    step = max(1, 2 ** 16 // (z * d))  # alpha^T C_z within 1 MB per chunk
     rng = _rng(seed)
     best = np.inf
-    remaining = samples
-    while remaining > 0:
-        n = min(_SCAN_BATCH, remaining)
-        remaining -= n
-        a = _unit_rows(rng.standard_normal((n, d))
-                       + 1j * rng.standard_normal((n, d)))
-        b = _unit_rows(rng.standard_normal((n, d))
-                       + 1j * rng.standard_normal((n, d)))
-        pairs = np.einsum("nk,nl->nkl", a, b).reshape(n, d * d)
-        amps = pairs @ flat.T
-        residuals = np.sum(np.abs(amps) ** 2, axis=1)
-        best = min(best, float(np.min(residuals)))
+    for start in range(0, samples, _SCAN_BATCH):
+        n = min(_SCAN_BATCH, samples - start)
+        g = rng.standard_normal((4, n, d))  # Re, Im of alpha, then of beta
+        for lo in range(0, n, step):
+            x = g[:, lo:lo + step]
+            a, b = np.empty((2, x.shape[1], d), np.complex128)
+            a.real, a.imag, b.real, b.imag = x
+            f = np.einsum("nzl,nl->nz", (a @ cmat).reshape(len(a), z, d),
+                          b).view(np.float64)
+            res = np.einsum("nj,nj->n", f, f) / (
+                np.einsum("inj,inj->n", x[:2], x[:2])
+                * np.einsum("inj,inj->n", x[2:], x[2:]))
+            best = min(best, float(np.min(res)))
     return best
 
 
@@ -510,11 +520,11 @@ _QUTRIT_STACK = np.array([
 
 def _snap_half_gaussian(coeffs: np.ndarray) -> np.ndarray:
     """Snap an array of coefficients to exact half-integer Gaussian numbers:
-    each real and imaginary part of 2 * coeffs within 1e-9 of an integer,
-    ShapeMismatch otherwise."""
+    each real and imaginary part of 2 * coeffs within _SNAP_TOL of an
+    integer, ShapeMismatch otherwise."""
     parts = np.stack([coeffs.real, coeffs.imag]) * 2.0
     near = np.round(parts) + 0.0  # + 0.0: no signed zeros
-    if not np.all(np.abs(parts - near) <= 1e-9):
+    if not np.all(np.abs(parts - near) <= _SNAP_TOL):
         raise ShapeMismatchError(
             "coefficients are not all half-integer Gaussian numbers; exact "
             "reduction applies only to the bundled qutrit family")

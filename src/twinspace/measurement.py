@@ -56,6 +56,7 @@ from .core import (
     _declared_array,
     _frozen,
     _integer,
+    _items,
     _real,
     _rescaled,
     _rng,
@@ -84,6 +85,13 @@ _SQRT_SAFE_MAX = math.sqrt(_SAFE_RANGE[1])
 #: Relative eigenvalue gap that starts a new outcome in
 #: measurement_from_observable.
 _DEGENERACY_TOL = 1e-8
+
+#: Mixture weights and outcome probabilities must sum to one within this.
+_SUM_TOL = 1e-9
+
+#: The least probability an OutcomeDistribution keeps is -_NEGATIVE_TOL:
+#: rounding below zero, not a negative probability.
+_NEGATIVE_TOL = 1e-12
 
 
 def _first_failure(defect: np.ndarray) -> int | None:
@@ -153,7 +161,8 @@ class Measurement:
 
     def __post_init__(self):
         mats = [_square(p.matrix if isinstance(p, Projector) else p,
-                        "projector") for p in self.projectors]
+                        "projector")
+                for p in _items(self.projectors, "projectors")]
         if not mats:
             raise ShapeMismatchError("measurement needs at least one projector")
         dim = mats[0].shape[0]
@@ -404,7 +413,7 @@ def _check_weights(components, *kinds: type) -> tuple:
     instance of each of ``kinds`` in order (a Mixture's a TwoStateVector,
     an experiment's two StateVectors), each weight a Python or numpy real
     number, not a bool, in [0, inf) (so not NaN), the total one within
-    1e-9.  Returns the components as tuples with float weights."""
+    _SUM_TOL.  Returns the components as tuples with float weights."""
     if not isinstance(components, (tuple, list)):
         raise ShapeMismatchError(
             f"mixture components must be a tuple or list, got "
@@ -419,7 +428,7 @@ def _check_weights(components, *kinds: type) -> tuple:
             raise ShapeMismatchError(f"mixture weight {w!r} not in [0, inf)")
         total += w
         comps.append((w, *comp[1:]))
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > _SUM_TOL:
         raise ShapeMismatchError(f"mixture weights sum to {total!r}, not 1")
     return tuple(comps)
 
@@ -439,9 +448,9 @@ class OutcomeDistribution:
         total = float(np.sum(arr))
         if not math.isfinite(total):  # as any NaN or infinite entry makes it
             raise ShapeMismatchError("probabilities must be finite")
-        if float(np.min(arr)) < -1e-12:
+        if float(np.min(arr)) < -_NEGATIVE_TOL:
             raise ShapeMismatchError("negative probability")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _SUM_TOL:
             raise ShapeMismatchError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", arr)
 

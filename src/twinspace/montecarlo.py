@@ -60,6 +60,10 @@ from .measurement import (
 #: Trials per RNG block (the shard granularity of the seeding contract).
 BLOCK_SIZE = 8192
 
+#: Joint probability at or below which validate_abl treats an outcome as
+#: impossible, so exempt from its least-expected-successes rule.
+_JOINT_FLOOR = 1e-12
+
 
 def _pair_vector(pre: StateVector, post: StateVector) -> TwoStateVector:
     """|pre> (x) <post| of checked unit states: finite and nonzero."""
@@ -345,7 +349,7 @@ def validate_abl(exp: MixtureExperiment,
             f"sigma bound {sigma_bound!r} not in (0, inf)")
     joint = joint_probabilities(exp)
     expected = exp.trials * joint
-    low = (joint > 1e-12) & (expected < 100.0)
+    low = (joint > _JOINT_FLOOR) & (expected < 100.0)
     if np.any(low):
         i = int(np.argmax(low))
         raise InsufficientTrialsError(

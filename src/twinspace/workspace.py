@@ -140,19 +140,20 @@ class Workspace:
 
 def _read(path):
     """The decoded JSON document of the workspace file at ``path``."""
-    return _decoded(Path(path).read_bytes)
+    return _decoded(lambda: Path(path).read_bytes())
 
 
 def _decoded(read):
     """The one workspace reader: the JSON document in what ``read()``
-    returns, a str or bytes read as UTF-8.  A source that cannot be read,
-    is not UTF-8 or is not JSON is one fault, a WorkspaceError caused by
-    the reader's own error."""
+    returns, a str or bytes read as UTF-8.  A source that cannot be read
+    (no path, no file, neither str nor bytes), is not UTF-8 or is not JSON
+    is one fault, a WorkspaceError caused by the reader's own error."""
     try:
         data = read()
         return json.loads(data.decode("utf-8") if isinstance(data, bytes)
                           else data)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, TypeError, UnicodeDecodeError,
+            json.JSONDecodeError) as err:
         raise WorkspaceError(f"cannot read workspace: {err}") from err
 
 

@@ -28,6 +28,8 @@ from twinspace import (
     StateVector,
     TwoStateVector,
     TrialLog,
+    Workspace,
+    WorkspaceError,
     ZeroVectorError,
     abl_probabilities,
     empirical_distribution,
@@ -37,8 +39,11 @@ from twinspace import (
     measurement_from_observable,
     mixture_statistics,
     schmidt,
+    time_reversal_equivalence_check,
     time_reverse,
     trace_functional,
+    validate_measurement,
+    zero_constraints,
 )
 from twinspace import montecarlo
 from twinspace.core import (
@@ -609,3 +614,32 @@ def test_unchecked_sites_store_what_the_constructor_would(site, builds,
         stored = getattr(type(obj)(value.copy()), name)
         assert stored.dtype == value.dtype and stored.shape == value.shape
         assert stored.tobytes() == value.tobytes()
+
+
+MALFORMED_CALLS = {
+    "Measurement(5)": (lambda: Measurement(5), ShapeMismatchError),
+    "validate_measurement(5)": (lambda: validate_measurement(5),
+                                ShapeMismatchError),
+    "zero_constraints(v, 5)": (lambda: zero_constraints(V3, 5),
+                               ShapeMismatchError),
+    "time_reversal_equivalence_check(v, 5)": (
+        lambda: time_reversal_equivalence_check(V3, 5), ShapeMismatchError),
+    "Measurement.from_json(array)": (
+        lambda: Measurement.from_json(np.zeros(3)), ShapeMismatchError),
+    "TwoStateVector.from_json(array)": (
+        lambda: TwoStateVector.from_json(np.zeros(3)), ShapeMismatchError),
+    "StateVector.from_json(array)": (
+        lambda: StateVector.from_json(np.zeros(3)), ShapeMismatchError),
+    "Workspace.loads(5)": (lambda: Workspace.loads(5), WorkspaceError),
+    "Workspace.load(5)": (lambda: Workspace.load(5), WorkspaceError),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MALFORMED_CALLS))
+def test_malformed_arguments_raise_library_errors(call):
+    """A value from outside that is not iterable, or not a JSON object, is
+    refused as the library's own error, never a bare TypeError or
+    IndexError."""
+    run, error = MALFORMED_CALLS[call]
+    with pytest.raises(error):
+        run()

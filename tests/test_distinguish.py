@@ -3,12 +3,14 @@ and the exact qutrit reduction."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twinspace import (
     DEFAULT_TOL,
+    MAX_DIM,
     CertificationVerdict,
     DimensionMismatchError,
     FeasibilityReport,
@@ -40,7 +42,8 @@ from twinspace import (
     time_reverse,
     zero_constraints,
 )
-from twinspace.distinguish import DEFAULT_ANCHOR_FLOOR
+from twinspace.core import _rng
+from twinspace.distinguish import _SCAN_BATCH, DEFAULT_ANCHOR_FLOOR
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 WS = builtin_workspace()
@@ -674,6 +677,75 @@ def test_scan_reaches_zero_on_feasible_system():
     system = zero_constraints(E00, [COMPUTATIONAL])
     floor = scan_separable_residual(system, samples=20000, seed=1)
     assert floor < 1e-2  # random sampling gets close to the solution manifold
+
+
+def rank_one_system(d, seed):
+    """The zero-constraint system of the target P_0 on a Haar-random
+    rank-one measurement: z = d - 1 generic complex constraints."""
+    m = random_measurement(d, d, seed)
+    return zero_constraints(TwoStateVector(m.projectors[0].matrix), [m])
+
+
+def reference_scan(system, samples, seed):
+    """The scan by its definition: the same _rng(seed) draws in batches of
+    _SCAN_BATCH as (Re alpha, Im alpha, Re beta, Im beta), unit rows, and
+    one einsum for the amplitudes alpha^T C_z beta of each sample."""
+    cs, d = system.constraint_matrices(), system.dim
+    rng = _rng(seed)
+    best = np.inf
+    for lo in range(0, samples, _SCAN_BATCH):
+        g = rng.standard_normal((4, min(_SCAN_BATCH, samples - lo), d))
+        a, b = g[0] + 1j * g[1], g[2] + 1j * g[3]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        amps = np.einsum("nk,zkl,nl->nz", a, cs, b)
+        best = min(best, float(np.min(np.sum(np.abs(amps) ** 2, axis=1))))
+    return best
+
+
+@pytest.mark.parametrize("d, samples", [
+    (1, 50),             # no zero outcome: z = 0
+    (2, 3),
+    (3, _SCAN_BATCH + 700),  # a whole batch, then a partial one
+    (5, 2000),
+    (8, 3000),           # z * d = 56: several chunks per batch
+    (16, 3000),          # z * d = 240: a chunk of 273 samples
+])
+def test_scan_matches_its_definition(d, samples):
+    system = rank_one_system(d, seed=d)
+    assert len(system.zero_outcomes) == d - 1
+    floor = scan_separable_residual(system, samples, 3)
+    expected = reference_scan(system, samples, 3)
+    assert floor == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert (floor == 0.0) == (d == 1)
+
+
+def test_scan_of_whole_batches_extends_a_shorter_one():
+    system = qutrit_system()
+    floors = [scan_separable_residual(system, k * _SCAN_BATCH, 5)
+              for k in (1, 2, 3)]
+    assert floors[0] >= floors[1] >= floors[2] > 0.0
+
+
+def test_scan_memory_is_bounded_by_the_batch_draw():
+    """The (4, 2**16, 16) float64 draw is 32 MB; the d = 16 kernel holds no
+    (n, d^2) pair array beside it."""
+    system = rank_one_system(16, seed=0)
+    assert len(system.zero_outcomes) == 15
+    tracemalloc.start()
+    try:
+        scan_separable_residual(system, _SCAN_BATCH, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+
+
+def test_scan_runs_at_max_dim():
+    system = rank_one_system(MAX_DIM, seed=1)
+    floor = scan_separable_residual(system, 100, 0)
+    assert floor == pytest.approx(reference_scan(system, 100, 0), rel=1e-12)
+    assert 0.0 < floor < 1.0
 
 
 # ---------------------------------------------------------------------------
