@@ -43,7 +43,6 @@ from .distinguish import (
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
-    KernelDimensionError,
     MeasurementValidationError,
     NoStoryInMixtureError,
     NoSuccessesError,
@@ -60,7 +59,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .measurement import (
-    MEASUREMENT_TOL,
     Measurement,
     OutcomeDistribution,
     Projector,
@@ -80,10 +78,8 @@ from .montecarlo import (
     TrialLog,
     empirical_distribution,
     joint_probabilities,
-    merge_logs,
     simulate,
     simulate_mixture,
-    success_probability,
     validate_abl,
     validate_mixture_abl,
 )

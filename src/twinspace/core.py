@@ -313,11 +313,7 @@ class TwoStateVector:
             All kets and bras must share one dimension; the summed matrix
             must not vanish.
         """
-        try:
-            terms = list(terms)
-        except TypeError:
-            raise ShapeMismatchError(
-                f"terms must be an iterable, got {terms!r}") from None
+        terms = _items(terms, "terms")
         if not terms:
             raise ZeroVectorError("no terms given")
         acc = 0.0

@@ -677,14 +677,18 @@ class CertificationVerdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-_CERT_MESSAGES = {
-    CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE:
-        "strictly non-separable (evidence via this measurement family)",
-    CertificationVerdict.NOT_CERTIFIED:
+#: Each feasibility verdict's certification verdict and message.
+_CERTIFICATION = {
+    FeasibilityVerdict.INFEASIBLE_EVIDENCE: (
+        CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE,
+        "strictly non-separable (evidence via this measurement family)"),
+    FeasibilityVerdict.FEASIBLE: (
+        CertificationVerdict.NOT_CERTIFIED,
         "not certified; one separable vector meets every zero constraint "
-        "with its anchor amplitude at or above the floor",
-    CertificationVerdict.INCONCLUSIVE:
-        "inconclusive; residual fell between the decision bands",
+        "with its anchor amplitude at or above the floor"),
+    FeasibilityVerdict.INCONCLUSIVE: (
+        CertificationVerdict.INCONCLUSIVE,
+        "inconclusive; residual fell between the decision bands"),
 }
 
 
@@ -696,7 +700,7 @@ class CertificationReport:
 
     @property
     def message(self) -> str:
-        return _CERT_MESSAGES[self.verdict]
+        return dict(_CERTIFICATION.values())[self.verdict]
 
     def to_json(self) -> dict:
         return {
@@ -729,10 +733,4 @@ def certify_strict_nonseparability(
         )
     system = zero_constraints(target, measurements)
     feas = separable_feasibility(system, starts, seed)
-    verdict = {
-        FeasibilityVerdict.INFEASIBLE_EVIDENCE:
-            CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE,
-        FeasibilityVerdict.FEASIBLE: CertificationVerdict.NOT_CERTIFIED,
-        FeasibilityVerdict.INCONCLUSIVE: CertificationVerdict.INCONCLUSIVE,
-    }[feas.verdict]
-    return CertificationReport(verdict, system, feas)
+    return CertificationReport(_CERTIFICATION[feas.verdict][0], system, feas)

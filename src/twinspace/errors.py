@@ -2,10 +2,12 @@
 
 Every error raised by the library derives from :class:`TwinspaceError`, so
 callers (in particular the CLI) can distinguish library failures from
-programming errors.  Measurement validation errors come from the one
-measurement rule (absolute tolerance ``MEASUREMENT_TOL``, NaN failing; see
-``twinspace.measurement``) and carry the index of the first offending
-projector (a rank-0 one included) or pair of projectors.
+programming errors.  Operands of different dimension are one fault, a
+``DimensionMismatchError``, wherever they meet.  Measurement validation
+errors come from the one measurement rule (absolute tolerance
+``DEFAULT_TOL``, NaN failing; see ``twinspace.measurement``) and carry the
+index of the first offending projector (a rank-0 one included) or pair of
+projectors.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ class NoWitnessError(TwinspaceError):
     """The story construction exhausted all three branches without finding
     a witness above tolerance (possible only for numerically degenerate
     input near the case boundaries)."""
-
-
-class KernelDimensionError(DimensionMismatchError):
-    """A vector and a null subspace live in spaces of different dimension;
-    raised only by ``membership_in_null``."""
 
 
 class NoStoryInMixtureError(TwinspaceError):

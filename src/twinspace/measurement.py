@@ -3,9 +3,9 @@ r"""Projective measurements, outcome amplitudes, stories, and the ABL rule.
 A measurement is an ordered partition of unity into nonzero orthogonal
 projectors {P_1, ..., P_k} on C^d, 1 <= d <= MAX_DIM; ``Measurement`` is
 the one place that checks it.  Its rule compares absolutely at
-MEASUREMENT_TOL = DEFAULT_TOL, failing on NaN (so on any non-finite entry),
-in this order: each P_i Hermitian, then idempotent; rank >= 1;
-P_i P_j = 0 for i < j; sum_i P_i = 1.
+DEFAULT_TOL, failing on NaN (so on any non-finite entry), in this order:
+each P_i Hermitian, then idempotent; rank >= 1; P_i P_j = 0 for i < j;
+sum_i P_i = 1.
 
 The rule runs once, on the (k, d, d) stack, where matrices enter from
 outside: ``Measurement(...)``, ``validate_measurement``, ``from_json`` and
@@ -76,9 +76,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-#: The one absolute tolerance of the measurement rule.
-MEASUREMENT_TOL = DEFAULT_TOL
-
 #: Peak amplitude above which the ABL weights sum above _SAFE_RANGE.
 _SQRT_SAFE_MAX = math.sqrt(_SAFE_RANGE[1])
 
@@ -96,8 +93,8 @@ _NEGATIVE_TOL = 1e-12
 
 def _first_failure(defect: np.ndarray) -> int | None:
     """Index of the first matrix of a (k, d, d) defect stack with an entry
-    not within MEASUREMENT_TOL in magnitude (so NaN fails), or None."""
-    ok = np.all(np.abs(defect) <= MEASUREMENT_TOL, axis=(-2, -1))
+    not within DEFAULT_TOL in magnitude (so NaN fails), or None."""
+    ok = np.all(np.abs(defect) <= DEFAULT_TOL, axis=(-2, -1))
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
 
@@ -120,7 +117,7 @@ def _check_projectors(stack: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class Projector:
     """An orthogonal projector: Hermitian and idempotent within
-    MEASUREMENT_TOL, the first half of the measurement rule."""
+    DEFAULT_TOL, the first half of the measurement rule."""
 
     matrix: np.ndarray
 
@@ -270,12 +267,16 @@ def measurement_from_basis_grouping(
 
     ``grouping`` must list every basis index exactly once across nonempty
     groups, a sequence of sequences of integers; outcome g gets the
-    projector sum_{j in g} |b_j><b_j|.  The basis comes from the caller,
-    so those projectors pass the measurement rule: a basis that is not
-    orthonormal fails it.
+    projector sum_{j in g} |b_j><b_j|.  ``basis`` is an iterable of
+    StateVectors (ShapeMismatch otherwise).  The basis comes from the
+    caller, so those projectors pass the measurement rule: a basis that
+    is not orthonormal fails it.
     """
+    basis = _items(basis, "basis")
     if not basis:
         raise ShapeMismatchError("basis needs at least one vector")
+    if not all(isinstance(s, StateVector) for s in basis):
+        raise ShapeMismatchError("basis members must be StateVectors")
     dim = basis[0].dim
     for s in basis:
         if s.dim != dim:

@@ -7,10 +7,10 @@ probability p_i = <pre|P_i|pre>, collapses to P_i|pre>/||.||, and accepts the
 trial with probability q_i = |A_i|^2 / p_i, where A_i = <post|P_i|pre>.
 
 There is one experiment type, ``MixtureExperiment``: it draws its (pre,
-post) pair per trial from classical weights.  ``PrePostExperiment`` is its
-one-component subclass, and ``simulate`` and ``validate_abl`` serve both
-(``simulate_mixture`` and ``validate_mixture_abl`` are other names for
-them).  Building an experiment runs the one per-component pass of
+post) pair per trial from classical weights.  ``PrePostExperiment`` builds
+its one-component form, and ``simulate`` and ``validate_abl`` serve every
+experiment (``simulate_mixture`` and ``validate_mixture_abl`` are other
+names for them).  Building an experiment runs the one per-component pass of
 ``measurement`` once, on one separable vector v_c = |pre_c> (x) <post_c|
 per component, and stores its rows (c, w_c, |A(v_c)|).  The story gate,
 the predictor and the sampler's acceptances all read those rows (q_i = 0
@@ -115,25 +115,12 @@ class MixtureExperiment:
         object.__setattr__(self, "_rows", rows)
 
 
-class PrePostExperiment(MixtureExperiment):
+def PrePostExperiment(pre: StateVector, post: StateVector,
+                      measurement: Measurement, trials: int,
+                      seed: int) -> MixtureExperiment:
     """One pre-selection / measurement / post-selection experiment: the
     one-component mixture ((1.0, pre, post),), under the same checks."""
-
-    def __init__(self, pre: StateVector, post: StateVector,
-                 measurement: Measurement, trials: int, seed: int):
-        super().__init__(((1.0, pre, post),), measurement, trials, seed)
-
-    @property
-    def pre(self) -> StateVector:
-        return self.components[0][1]
-
-    @property
-    def post(self) -> StateVector:
-        return self.components[0][2]
-
-    def story_vector(self) -> TwoStateVector:
-        """The separable two-state vector |pre> (x) <post|."""
-        return _pair_vector(self.pre, self.post)
+    return MixtureExperiment(((1.0, pre, post),), measurement, trials, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +129,7 @@ class TrialLog:
 
     ``outcome_counts`` are whole numbers, one per outcome, non-negative and
     summing to at most ``trials``, a count (an integer >= 1).  ``simulate``
-    and ``merge_logs`` build their logs valid by construction, unchecked.
+    builds its log valid by construction, unchecked.
     """
 
     outcome_counts: np.ndarray
@@ -168,14 +155,6 @@ class TrialLog:
         return int(self.outcome_counts.sum())
 
 
-def merge_logs(a: TrialLog, b: TrialLog) -> TrialLog:
-    """Combine shard results by addition."""
-    if a.outcome_counts.shape != b.outcome_counts.shape:
-        raise ShapeMismatchError("logs have different outcome counts")
-    return _unchecked(TrialLog, a.outcome_counts + b.outcome_counts,
-                      a.trials + b.trials)
-
-
 def joint_probabilities(exp: MixtureExperiment) -> np.ndarray:
     """Per-outcome probability of (outcome AND successful post-selection):
     the success-weighted rule sum_c w_c |A_i(v_c)|^2 over the story rows."""
@@ -185,18 +164,13 @@ def joint_probabilities(exp: MixtureExperiment) -> np.ndarray:
     return joint
 
 
-def success_probability(exp: MixtureExperiment) -> float:
-    """Predicted post-selection success rate (sum of joint probabilities)."""
-    return float(np.sum(joint_probabilities(exp)))
-
-
 def simulate(exp: MixtureExperiment) -> TrialLog:
     """Run the experiment, the (pre, post) pair redrawn from the weights
     per trial; returns joint success counts per outcome, which follow the
     success-weighted rule (module docstring).  Also ``simulate_mixture``.
 
-    Deterministic in the experiment seed, and identical to merging
-    per-block runs because block b always draws from (seed, b).
+    Deterministic in the experiment seed, and identical to summing
+    per-block counts because block b always draws from (seed, b).
     """
     stacked = exp.measurement._stacked
     k = stacked.shape[0]

@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, StateVector, TwoStateVector, _frozen, _norm,
                    _unchecked, trace_functional)
-from .errors import KernelDimensionError, NoWitnessError
+from .errors import DimensionMismatchError, NoWitnessError
 from .measurement import Measurement, Projector, _amplitudes, forms_story
 
 
@@ -174,7 +174,7 @@ class NullSubspace:
         np.matmul(u * helmert[:, np.newaxis, :], uh, out=null[d * d - d:])
         # Tr(P_i u_a u_b^dagger) = (U^dagger P_i U)_ba in closed form.  The
         # P_i of an accepted measurement commute only within
-        # MEASUREMENT_TOL, so the units keep amplitudes up to about 1e-10,
+        # DEFAULT_TOL, so the units keep amplitudes up to about 1e-10,
         # the story threshold: project the block once off the constraint
         # rows, B <- B - sum_i Tr(P_i B) / rank(P_i) P_i, a chunk at a time.
         q = uh @ stack @ u
@@ -205,7 +205,7 @@ def membership_in_null(v: TwoStateVector, ns: NullSubspace) -> bool:
     """True iff v forms no story with ``ns.measurement``, i.e. iff
     max_i |Tr(P_i matrix(v))| <= DEFAULT_TOL * ||v||; no basis is used."""
     if v.dim != ns.measurement.dim:
-        raise KernelDimensionError(
+        raise DimensionMismatchError(
             f"vector dim {v.dim} != subspace dim {ns.measurement.dim}"
         )
     return not forms_story(v, ns.measurement)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import twinspace.measurement as measurement_module
 from twinspace import (
+    DEFAULT_TOL,
     MAX_DIM,
-    MEASUREMENT_TOL,
     DimensionMismatchError,
     Measurement,
     MeasurementValidationError,
@@ -224,6 +224,23 @@ def test_basis_grouping_refuses_non_integer_entries_and_mixed_dims():
     m = measurement_from_basis_grouping([KET0, KET1],
                                         [[np.int64(1)], [np.int32(0)]])
     assert m.projectors[0].matrix[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("basis", [np.eye(3), list(np.eye(3)), 5,
+                                   [StateVector.basis_state(3, 0), "x"]],
+                         ids=["array", "array rows", "number", "mixed"])
+def test_basis_grouping_refuses_a_basis_of_non_states(basis):
+    """The basis is read through the one iterable gate, and a member that
+    is not a StateVector is a shape fault, not a bare numpy or attribute
+    error."""
+    with pytest.raises(ShapeMismatchError):
+        measurement_from_basis_grouping(basis, [[0], [1], [2]])
+
+
+def test_basis_grouping_takes_any_iterable_of_states():
+    basis = (StateVector.basis_state(3, i) for i in range(3))
+    m = measurement_from_basis_grouping(basis, [[0, 2], [1]])
+    assert [p.rank for p in m.projectors] == [2, 1]
 
 
 def test_ragged_matrices_are_shape_faults():
@@ -488,18 +505,18 @@ def reference_fault(mats):
     """The measurement rule as an independent loop over numpy matrices:
     (error class, index or pair) of the first violation, or None."""
     for i, p in enumerate(mats):
-        if not np.max(np.abs(p - p.conj().T)) <= MEASUREMENT_TOL:
+        if not np.max(np.abs(p - p.conj().T)) <= DEFAULT_TOL:
             return NotHermitianError, i
     for i, p in enumerate(mats):
-        if not np.max(np.abs(p @ p - p)) <= MEASUREMENT_TOL:
+        if not np.max(np.abs(p @ p - p)) <= DEFAULT_TOL:
             return NotIdempotentError, i
     for i, p in enumerate(mats):
         if round(np.trace(p).real) < 1:
             return MeasurementValidationError, i
     for i, j in itertools.combinations(range(len(mats)), 2):
-        if not np.max(np.abs(mats[i] @ mats[j])) <= MEASUREMENT_TOL:
+        if not np.max(np.abs(mats[i] @ mats[j])) <= DEFAULT_TOL:
             return NotOrthogonalError, (i, j)
-    if not np.max(np.abs(sum(mats) - np.eye(len(mats[0])))) <= MEASUREMENT_TOL:
+    if not np.max(np.abs(sum(mats) - np.eye(len(mats[0])))) <= DEFAULT_TOL:
         return NotCompleteError, None
     return None
 
@@ -569,7 +586,7 @@ def test_one_rule_matches_reference(seed, d, kind, data):
     k = data.draw(st.integers(2 if two else 1, min(d, 8)))
     blocks = unitary_blocks(d, k, np.random.default_rng([seed, 0]))
     for scale in (10.0, 2.0, 0.45, 0.1):
-        mats, expected = inject(kind, blocks, scale * MEASUREMENT_TOL,
+        mats, expected = inject(kind, blocks, scale * DEFAULT_TOL,
                                 np.random.default_rng([seed, 1]))
         reference = reference_fault(mats)
         assert library_fault(mats) == reference

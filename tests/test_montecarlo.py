@@ -25,13 +25,11 @@ from twinspace import (
     empirical_distribution,
     forms_story,
     joint_probabilities,
-    merge_logs,
     mixture_statistics,
     outcome_amplitudes,
     random_measurement,
     simulate,
     simulate_mixture,
-    success_probability,
     validate_abl,
     validate_mixture_abl,
 )
@@ -122,7 +120,7 @@ def test_each_component_is_built_once(builds):
                               (0.5, KET0, KET1)), DIAGONAL, 20_000, 0)
     assert builds.of(TwoStateVector) == 4
     joint_probabilities(exp)
-    success_probability(mexp)
+    joint_probabilities(mexp)
     simulate(exp)
     simulate_mixture(mexp)
     validate_abl(exp)
@@ -132,10 +130,13 @@ def test_each_component_is_built_once(builds):
 
 
 def test_story_vector_is_separable_pair():
-    np.testing.assert_allclose(
-        GOLDEN.story_vector().matrix,
-        np.outer(KET0.amplitudes, KET1.amplitudes.conj()),
-    )
+    """The experiment's one story row holds the outcome amplitudes of the
+    separable pair |pre> (x) <post|."""
+    pre, post = GOLDEN.components[0][1:]
+    ((c, w, mags),) = GOLDEN._rows
+    assert (c, w) == (0, 1.0)
+    np.testing.assert_array_equal(mags, np.abs(outcome_amplitudes(
+        TwoStateVector.separable(pre, post), DIAGONAL)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_joint_probabilities_golden():
     # sampling p = (1/2, 1/2); acceptance |<1|P_pm|0>|^2 / p = 1/2 each
     np.testing.assert_allclose(joint_probabilities(GOLDEN), [0.25, 0.25],
                                atol=1e-15)
-    assert success_probability(GOLDEN) == pytest.approx(0.5, abs=1e-15)
+    assert joint_probabilities(GOLDEN).sum() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_joint_probabilities_deterministic_branch():
@@ -226,17 +227,6 @@ def test_mixture_block_accumulation_matches_manual_shards():
     np.testing.assert_array_equal(full, total)
 
 
-def test_merge_logs_adds():
-    a = TrialLog(np.array([3, 4]), trials=10)
-    b = TrialLog(np.array([1, 0]), trials=5)
-    merged = merge_logs(a, b)
-    np.testing.assert_array_equal(merged.outcome_counts, [4, 4])
-    assert merged.trials == 15
-    assert merged.successes == 8
-    with pytest.raises(ShapeMismatchError):
-        merge_logs(a, TrialLog(np.array([1, 2, 3]), trials=6))
-
-
 def test_trial_log_validation():
     with pytest.raises(ShapeMismatchError):
         TrialLog(np.array([5, 6]), trials=10)  # counts exceed trials
@@ -253,7 +243,7 @@ def test_trial_log_validation():
     assert log.outcome_counts.dtype == np.int64 and type(log.trials) is int
 
 
-def test_simulate_and_merge_build_logs_without_a_second_check(monkeypatch):
+def test_simulate_builds_its_log_without_a_second_check(monkeypatch):
     exp = PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=3)
     expected = simulate(exp).outcome_counts
 
@@ -261,9 +251,9 @@ def test_simulate_and_merge_build_logs_without_a_second_check(monkeypatch):
         raise AssertionError("TrialLog checked again")
 
     monkeypatch.setattr(TrialLog, "__post_init__", refuse)
-    log = merge_logs(simulate(exp), simulate(exp))
-    np.testing.assert_array_equal(log.outcome_counts, 2 * expected)
-    assert log.trials == 200 and not log.outcome_counts.flags.writeable
+    log = simulate(exp)
+    np.testing.assert_array_equal(log.outcome_counts, expected)
+    assert log.trials == 100 and not log.outcome_counts.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +275,7 @@ def test_success_rate_matches_prediction():
     log = simulate(GOLDEN)
     rate = log.successes / GOLDEN.trials
     se = np.sqrt(0.5 * 0.5 / GOLDEN.trials)
-    assert abs(rate - success_probability(GOLDEN)) < 4 * se
+    assert abs(rate - joint_probabilities(GOLDEN).sum()) < 4 * se
 
 
 def test_validate_abl_golden_passes():
@@ -325,7 +315,8 @@ def test_insufficient_trials_is_a_twinspace_error():
 def test_validation_flags_biased_counts():
     from twinspace import abl_probabilities
 
-    predicted = abl_probabilities(GOLDEN.story_vector(), DIAGONAL)
+    predicted = abl_probabilities(TwoStateVector.separable(KET0, KET1),
+                                  DIAGONAL)
     biased = _build_validation(np.array([40_000, 10_000]), 100_000,
                                predicted, DIAGONAL.labels, 4.0)
     assert not biased.passed
@@ -372,9 +363,9 @@ def test_one_component_mixture_is_the_pre_post_experiment(pre, post, m,
 
 def test_pre_post_experiment_is_a_mixture_experiment():
     exp = PrePostExperiment(KET0, KET1, DIAGONAL, 1000, 0)
-    assert isinstance(exp, MixtureExperiment)
+    assert type(exp) is MixtureExperiment
     assert exp.components == ((1.0, KET0, KET1),)
-    assert (exp.pre, exp.post) == (KET0, KET1)
+    assert (exp.measurement, exp.trials, exp.seed) == (DIAGONAL, 1000, 0)
     assert simulate_mixture is simulate
     assert validate_mixture_abl is validate_abl
 
