@@ -277,6 +277,21 @@ def test_membership_dim_mismatch():
     assert type(err.value) is DimensionMismatchError
 
 
+def test_membership_dim_mismatch_is_a_dimension_mismatch():
+    """Caught by the same except clause as every other dimension fault."""
+    m = random_measurement(2, 2, 0)
+    ns = null_subspace(m)
+    v = random_two_state(3)
+    raised = []
+    for call in (lambda: membership_in_null(v, ns),
+                 lambda: outcome_amplitudes(v, m)):
+        try:
+            call()
+        except DimensionMismatchError as exc:
+            raised.append(type(exc))
+    assert raised == [DimensionMismatchError, DimensionMismatchError]
+
+
 def test_trace_is_sum_of_outcome_amplitudes():
     """The trace functional decomposes over any measurement's outcomes."""
     for seed in range(10):
