@@ -29,6 +29,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -216,6 +218,61 @@ def _rng(seed, *keys) -> np.random.Generator:
         raise ShapeMismatchError(
             f"seed must be a non-negative integer or a sequence of them, "
             f"got {seed!r} ({err})") from None
+
+
+#: Variables that set the BLAS thread count, read in this order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _workers() -> int:
+    """Library threads for ``_map``: usable cores integer-divided by the
+    BLAS thread count (every core when no variable pins it), at least 1.
+    Library threads yield to BLAS threads, so an unpinned process stays
+    serial."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    blas = cores
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cores // blas)
+
+
+_pool_lock = threading.Lock()
+_pool: tuple = (None, 0, None)  # (pid, workers, executor)
+_in_pool = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _in_pool.task = True
+
+
+def _map(fn, items) -> list:
+    """``[fn(x) for x in items]`` in item order, on ``_workers()`` threads
+    when there are several.  In the caller's thread for one worker, one
+    item, or a call from a pool task (nested use cannot deadlock).  The
+    pool is per process, so a forked child builds its own."""
+    items = list(items)
+    workers = _workers()
+    if workers == 1 or len(items) < 2 or getattr(_in_pool, "task", False):
+        return [fn(x) for x in items]
+    global _pool
+    with _pool_lock:
+        pid, size, executor = _pool
+        if (pid, size) != (os.getpid(), workers):
+            # Imported here: it costs 4 ms, which serial processes skip.
+            from concurrent.futures import ThreadPoolExecutor
+            if pid == os.getpid():
+                executor.shutdown(wait=False)
+            executor = ThreadPoolExecutor(workers,
+                                          initializer=_mark_pool_thread)
+            _pool = (os.getpid(), workers, executor)
+    return list(executor.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,9 +28,10 @@ weights w_c, so the two agree at equal weights only when all S_c are equal.
 Trials are processed in fixed-size blocks; block b draws its generator
 from the seed material (base seed, b) and takes from it, per block, the
 component stream (only when there are several components), then the
-outcome stream, then the acceptance stream.  Totals are sums over blocks,
-so a run is reproducible bit-for-bit and independent of how blocks would
-be distributed across workers.
+outcome stream, then the acceptance stream.  Blocks are counted on the
+library's threads (``core._map``) and their integer counts summed in
+block order, so a run is reproducible bit-for-bit and independent of how
+the blocks are distributed across workers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (StateVector, TwoStateVector, _array, _check_unit, _count,
-                   _frozen, _real, _rng, _unchecked)
+                   _frozen, _map, _real, _rng, _unchecked)
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -59,6 +60,10 @@ from .measurement import (
 
 #: Trials per RNG block (the shard granularity of the seeding contract).
 BLOCK_SIZE = 8192
+
+#: Blocks handed to the library's threads at once, so the memory of a run
+#: does not grow with its trial count.
+_BLOCKS_PER_MAP = 64
 
 #: Joint probability at or below which validate_abl treats an outcome as
 #: impossible, so exempt from its least-expected-successes rule.
@@ -191,10 +196,10 @@ def simulate(exp: MixtureExperiment) -> TrialLog:
     # Component c's cumulative outcome table, offset into [c, c + 1], so
     # one search finds every trial's outcome.
     cum = (np.arange(n_comp)[:, None] + np.cumsum(p, axis=1)).ravel()
-    counts = 0
-    for block, offset in enumerate(range(0, exp.trials, BLOCK_SIZE)):
+
+    def block_counts(block: int) -> np.ndarray:
         rng = _rng(exp.seed, block)
-        n = min(BLOCK_SIZE, exp.trials - offset)
+        n = min(BLOCK_SIZE, exp.trials - block * BLOCK_SIZE)
         comp = 0
         if n_comp > 1:
             comp = np.searchsorted(cum_w, rng.random(n), side="right")
@@ -202,7 +207,13 @@ def simulate(exp: MixtureExperiment) -> TrialLog:
         outcomes = np.searchsorted(cum, comp + rng.random(n), side="right")
         outcomes = np.clip(outcomes - comp * k, 0, k - 1)
         accepted = rng.random(n) < q[comp, outcomes]
-        counts = counts + np.bincount(outcomes[accepted], minlength=k)
+        return np.bincount(outcomes[accepted], minlength=k)
+
+    blocks = range(-(-exp.trials // BLOCK_SIZE))
+    counts = 0
+    for s in range(0, len(blocks), _BLOCKS_PER_MAP):
+        counts = counts + sum(_map(block_counts,
+                                   blocks[s:s + _BLOCKS_PER_MAP]))
     return _unchecked(TrialLog, counts, exp.trials)
 
 
@@ -309,9 +320,10 @@ def validate_abl(exp: MixtureExperiment,
     i: exactly what ``simulate`` samples, and for one pair the ABL
     probabilities of its story.  Also ``validate_mixture_abl``.
 
-    Requires every predicted nonzero outcome to expect at least 100
-    successes at the configured trial count (InsufficientTrialsError, a
-    ValueError, otherwise).
+    Requires every outcome of joint probability above ``_JOINT_FLOOR``,
+    and the experiment as a whole, to expect at least 100 successes at the
+    configured trial count, before anything is simulated
+    (InsufficientTrialsError, a ValueError, otherwise).
     Passes iff every outcome frequency deviates by less than
     ``sigma_bound`` binomial standard errors; a bound that is a bool, not
     a real number, or not finite and positive is refused
@@ -328,6 +340,12 @@ def validate_abl(exp: MixtureExperiment,
         i = int(np.argmax(low))
         raise InsufficientTrialsError(
             f"outcome {i} expects only {expected[i]:.1f} successes at "
+            f"{exp.trials} trials; need >= 100 for the sigma bound to be "
+            "meaningful"
+        )
+    if expected.sum() < 100.0:
+        raise InsufficientTrialsError(
+            f"the experiment expects only {expected.sum():.3g} successes at "
             f"{exp.trials} trials; need >= 100 for the sigma bound to be "
             "meaningful"
         )

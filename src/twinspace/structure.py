@@ -41,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, StateVector, TwoStateVector, _frozen, _norm,
-                   _unchecked, trace_functional)
+from .core import (DEFAULT_TOL, StateVector, TwoStateVector, _frozen, _map,
+                   _norm, _unchecked, _workers, trace_functional)
 from .errors import DimensionMismatchError, NoWitnessError
 from .measurement import Measurement, Projector, _amplitudes, forms_story
 
@@ -129,8 +129,10 @@ def is_traceless(v: TwoStateVector) -> bool:
     return abs(trace_functional(v)) <= DEFAULT_TOL * v.hs_norm
 
 
-#: Basis rows per step of the projection off the constraint rows: a
-#: (rows, dim^2) temporary of 16 MB at dim 64, not a second basis block.
+#: Basis rows that ``NullSubspace.basis`` projects at once, split evenly
+#: over the workers: each worker holds one (rows / workers, dim^2)
+#: projection temporary, 16 MB at dim 64 for one worker and 8 MB each for
+#: two, never a second basis block.
 _PROJECTION_ROWS = 256
 
 
@@ -167,24 +169,36 @@ class NullSubspace:
         t = c - first[c]
         helmert = (((first[c] <= col) & (col < c)) - t * (col == c)) \
             / np.sqrt(t * (t + 1))
-        # One basis block: the units u_a u_b^dagger, then U diag(h) U^dagger.
-        null = np.empty((d * d - k, d, d), dtype=np.complex128)
-        np.multiply(u.T[a, :, np.newaxis], uh[b, np.newaxis, :],
-                    out=null[:d * d - d])
-        np.matmul(u * helmert[:, np.newaxis, :], uh, out=null[d * d - d:])
         # Tr(P_i u_a u_b^dagger) = (U^dagger P_i U)_ba in closed form.  The
         # P_i of an accepted measurement commute only within
         # DEFAULT_TOL, so the units keep amplitudes up to about 1e-10,
-        # the story threshold: project the block once off the constraint
-        # rows, B <- B - sum_i Tr(P_i B) / rank(P_i) P_i, a chunk at a time.
+        # the story threshold: project them off the constraint rows,
+        # B <- B - sum_i Tr(P_i B) / rank(P_i) P_i.
         q = uh @ stack @ u
         amps = np.concatenate([q[:, b, a].T,
                                helmert @ np.diagonal(q, 0, 1, 2).T])
         amps /= [p.rank for p in m.projectors]
-        flat, projs = null.reshape(-1, d * d), stack.reshape(k, d * d)
-        for s in range(0, len(flat), _PROJECTION_ROWS):
-            rows = slice(s, s + _PROJECTION_ROWS)
+        # One basis block: the units u_a u_b^dagger, a chunk of rows per
+        # task, then U diag(h) U^dagger; then the projection, a chunk per
+        # task.  All units come before any projection, so with one worker
+        # (BLAS unpinned) the BLAS products run back to back.
+        n, step = d * d - k, max(1, _PROJECTION_ROWS // _workers())
+        null = np.empty((n, d, d), dtype=np.complex128)
+        units = null[:d * d - d]
+        flat, projs = null.reshape(n, d * d), stack.reshape(k, d * d)
+
+        def fill(s: int) -> None:
+            rows = slice(s, s + step)
+            np.multiply(u.T[a[rows], :, np.newaxis], uh[b[rows], np.newaxis, :],
+                        out=units[rows])
+
+        def project(s: int) -> None:
+            rows = slice(s, s + step)
             flat[rows] -= amps[rows] @ projs
+
+        _map(fill, range(0, len(units), step))
+        np.matmul(u * helmert[:, np.newaxis, :], uh, out=null[len(units):])
+        _map(project, range(0, n, step))
         # Read-only views of the one block, not d^2 - k copies; orthonormal
         # rows are finite and nonzero, all the constructor checks.
         null.setflags(write=False)

@@ -533,3 +533,16 @@ def test_simulation_refuses_a_negative_seed():
         PrePostExperiment(KET0, KET1, DIAGONAL, trials=100, seed=-1)
     with pytest.raises(ShapeMismatchError, match="seed.*-1"):
         MixtureExperiment(((1.0, KET0, KET1),), DIAGONAL, 100, -1)
+
+
+def test_validate_abl_refuses_an_experiment_expecting_too_few_successes():
+    """Both joint probabilities sit below montecarlo._JOINT_FLOOR, so no
+    outcome falls under the per-outcome rule; the experiment as a whole
+    expects 2e-7 successes and is refused before it simulates."""
+    s = 1e-13
+    pre = StateVector.normalized([np.sqrt(1.0 - s), np.sqrt(s)])
+    post = StateVector.normalized([np.sqrt(s), np.sqrt(1.0 - s)])
+    exp = PrePostExperiment(pre, post, COMPUTATIONAL, 10**6, 0)
+    np.testing.assert_allclose(joint_probabilities(exp), [s, s], rtol=1e-9)
+    with pytest.raises(InsufficientTrialsError, match="successes"):
+        validate_abl(exp)

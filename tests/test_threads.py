@@ -1,0 +1,193 @@
+"""The library's thread map: the null-subspace basis and the Monte Carlo
+blocks are bit-identical on any number of workers, and the pool is safe to
+nest and to fork."""
+
+import hashlib
+import multiprocessing
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from twinspace import (
+    BLOCK_SIZE,
+    DEFAULT_TOL,
+    Measurement,
+    MeasurementValidationError,
+    MixtureExperiment,
+    NullSubspace,
+    PrePostExperiment,
+    builtin_workspace,
+    random_measurement,
+    simulate,
+    validate_abl,
+)
+from twinspace import core, montecarlo, structure
+
+WS = builtin_workspace()
+KET0, KET1, PLUS = WS.state("ket0"), WS.state("ket1"), WS.state("plus")
+DIAGONAL = WS.measurement("diagonal")
+WORKERS = (1, 2, 3)
+
+
+def _basis_digest(m: Measurement) -> str:
+    """SHA-256 of the bytes of a freshly built basis, in order."""
+    h = hashlib.sha256()
+    for b in NullSubspace(m).basis:
+        h.update(b.matrix.tobytes())
+    return h.hexdigest()
+
+
+def _set_workers(monkeypatch, n: int) -> None:
+    """Pretend the process has ``n`` library threads, both for the map and
+    for the basis chunks that are sized by it."""
+    for module in (core, structure):
+        monkeypatch.setattr(module, "_workers", lambda: n)
+
+
+def _per_worker_count(monkeypatch, run) -> list:
+    """``run()`` once with each of WORKERS library threads."""
+    out = []
+    for n in WORKERS:
+        _set_workers(monkeypatch, n)
+        out.append(run())
+    return out
+
+
+def _nearly_commuting(dim: int, k: int, seed: int) -> Measurement:
+    """A random measurement with Hermitian noise of up to DEFAULT_TOL per
+    entry on each projector, halved until Measurement accepts it."""
+    m = random_measurement(dim, k, [29, seed])
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((k, dim, dim))
+         + 1j * rng.standard_normal((k, dim, dim)))
+    noise = [e / np.max(np.abs(e)) for e in g + g.conj().transpose(0, 2, 1)]
+    scale = DEFAULT_TOL
+    while True:
+        try:
+            return Measurement([p.matrix + scale * e
+                                for p, e in zip(m.projectors, noise)])
+        except MeasurementValidationError:
+            scale /= 2
+
+
+@pytest.mark.parametrize("dim, k", [(1, 1), (2, 2), (16, 5), (64, 64),
+                                    (64, 7)])
+def test_basis_is_bitwise_equal_on_any_worker_count(monkeypatch, dim, k):
+    m = random_measurement(dim, k, [71, dim, k])
+    digests = _per_worker_count(monkeypatch, lambda: _basis_digest(m))
+    assert digests == [digests[0]] * len(WORKERS)
+
+
+def test_basis_of_nearly_commuting_projectors_is_bitwise_equal(monkeypatch):
+    """An accepted outside measurement whose projectors commute only
+    within DEFAULT_TOL, so the projection step does real work."""
+    m = _nearly_commuting(16, 5, 3)
+    p, q = m.projectors[0].matrix, m.projectors[1].matrix
+    assert 0.0 < np.max(np.abs(p @ q - q @ p)) <= DEFAULT_TOL
+    digests = _per_worker_count(monkeypatch, lambda: _basis_digest(m))
+    assert digests == [digests[0]] * len(WORKERS)
+
+
+TRIALS = 3 * BLOCK_SIZE + 137
+EXPERIMENTS = {
+    "one component": PrePostExperiment(KET0, KET1, DIAGONAL, TRIALS, 5),
+    "two components": MixtureExperiment(
+        ((0.3, KET0, PLUS), (0.7, PLUS, KET1)), DIAGONAL, TRIALS, 5),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_monte_carlo_is_bitwise_equal_on_any_worker_count(monkeypatch, name):
+    exp = EXPERIMENTS[name]
+    counts = _per_worker_count(
+        monkeypatch, lambda: simulate(exp).outcome_counts.tolist())
+    reports = _per_worker_count(monkeypatch,
+                                lambda: validate_abl(exp).to_json())
+    assert counts == [counts[0]] * len(WORKERS)
+    assert reports == [reports[0]] * len(WORKERS)
+    assert reports[0]["successes"] == sum(counts[0])
+    # The four blocks handed to the threads three at a time: same counts.
+    monkeypatch.setattr(montecarlo, "_BLOCKS_PER_MAP", 3)
+    assert _per_worker_count(
+        monkeypatch, lambda: simulate(exp).outcome_counts.tolist()) == counts
+
+
+def test_map_keeps_item_order(monkeypatch):
+    _set_workers(monkeypatch, 2)
+    assert core._map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
+
+
+def test_map_inside_a_pool_task_runs_inline(monkeypatch):
+    """Two outer tasks on three workers: a free worker is left, so inner
+    tasks sent to the pool would show up on another thread, not hang."""
+    _set_workers(monkeypatch, 3)
+
+    def task(_):
+        outer = threading.get_ident()
+        return outer, core._map(lambda _: threading.get_ident(), range(4))
+
+    for outer, inner in core._map(task, range(2)):
+        assert outer != threading.get_ident()
+        assert inner == [outer] * 4
+
+
+def _child_digest(conn):
+    conn.send(_basis_digest(random_measurement(16, 4, [72])))
+    conn.close()
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    """After the parent used the pool, a forked child (which has none of
+    its threads) still builds a d = 16 basis, on a pool of its own."""
+    _set_workers(monkeypatch, 2)
+    expected = _basis_digest(random_measurement(16, 4, [72]))
+    assert core._pool[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_digest, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "forked child hung building the basis"
+        assert recv.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def no_blas_vars(monkeypatch):
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+def test_workers_yield_to_unpinned_blas(no_blas_vars):
+    assert core._workers() == 1
+
+
+def test_workers_with_one_blas_thread_use_every_core(no_blas_vars):
+    no_blas_vars.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert core._workers() == len(os.sched_getaffinity(0))
+
+
+def test_workers_read_the_first_positive_blas_variable(no_blas_vars):
+    cores = len(os.sched_getaffinity(0))
+    no_blas_vars.setenv("MKL_NUM_THREADS", "1")
+    assert core._workers() == cores
+    for unset in ("0", "-1", "many", "", "²"):
+        no_blas_vars.setenv("OPENBLAS_NUM_THREADS", unset)
+        assert core._workers() == cores
+    no_blas_vars.setenv("OMP_NUM_THREADS", str(cores))
+    assert core._workers() == 1
+    no_blas_vars.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert core._workers() == cores
+    no_blas_vars.setenv("OPENBLAS_NUM_THREADS", str(2 * cores))
+    assert core._workers() == 1
