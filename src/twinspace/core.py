@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -220,6 +219,14 @@ def _rng(seed, *keys) -> np.random.Generator:
             f"got {seed!r} ({err})") from None
 
 
+def _plain(seed):
+    """A seed ``_rng`` took, as a report stores it: numpy integers and
+    arrays become Python ints and lists, so the report serializes."""
+    if isinstance(seed, (list, tuple)):
+        return type(seed)(map(_plain, seed))
+    return seed.tolist() if isinstance(seed, (np.integer, np.ndarray)) else seed
+
+
 #: Variables that set the BLAS thread count, read in this order.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                      "MKL_NUM_THREADS")
@@ -243,36 +250,28 @@ def _workers() -> int:
     return max(1, cores // blas)
 
 
-_pool_lock = threading.Lock()
-_pool: tuple = (None, 0, None)  # (pid, workers, executor)
-_in_pool = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _in_pool.task = True
-
-
 def _map(fn, items) -> list:
-    """``[fn(x) for x in items]`` in item order, on ``_workers()`` threads
-    when there are several.  In the caller's thread for one worker, one
-    item, or a call from a pool task (nested use cannot deadlock).  The
-    pool is per process, so a forked child builds its own."""
+    """``[fn(x) for x in items]`` in item order.  With w = min(_workers(),
+    len(items)) >= 2, share s is ``items[s::w]``: shares 1 .. w-1 run on a
+    pool of w - 1 threads that this call opens and closes, share 0 on the
+    caller's thread.  Nothing outlives the call, so nested calls and forked
+    children need no care."""
     items = list(items)
-    workers = _workers()
-    if workers == 1 or len(items) < 2 or getattr(_in_pool, "task", False):
+    w = min(_workers(), len(items))
+    if w < 2:
         return [fn(x) for x in items]
-    global _pool
-    with _pool_lock:
-        pid, size, executor = _pool
-        if (pid, size) != (os.getpid(), workers):
-            # Imported here: it costs 4 ms, which serial processes skip.
-            from concurrent.futures import ThreadPoolExecutor
-            if pid == os.getpid():
-                executor.shutdown(wait=False)
-            executor = ThreadPoolExecutor(workers,
-                                          initializer=_mark_pool_thread)
-            _pool = (os.getpid(), workers, executor)
-    return list(executor.map(fn, items))
+    # Imported here: it costs 4 ms, which serial processes skip.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def share(s: int) -> list:
+        return [fn(x) for x in items[s::w]]
+
+    with ThreadPoolExecutor(w - 1) as pool:
+        rest = pool.map(share, range(1, w))
+        shares = [share(0), *rest]
+    for s, results in enumerate(shares):
+        items[s::w] = results
+    return items
 
 
 @dataclass(frozen=True, eq=False)

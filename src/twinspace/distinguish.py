@@ -49,6 +49,7 @@ from .core import (
     _check_unit,
     _count,
     _items,
+    _plain,
     _rng,
     _unchecked,
     time_reverse,
@@ -224,11 +225,12 @@ def search_distinguishing_measurement(
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    for t in range(_count(trials, "trials")):
+    trials = _count(trials, "trials")
+    for t in range(trials):
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
         gap = _gap(a.components, b.components, m)
         if gap > DEFAULT_TOL:
-            return SearchResult(m, gap, t, trials, seed)
+            return SearchResult(m, gap, t, trials, _plain(seed))
     return None
 
 
@@ -461,8 +463,8 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
         verdict = FeasibilityVerdict.INFEASIBLE_EVIDENCE
     else:
         verdict = FeasibilityVerdict.INCONCLUSIVE
-    return FeasibilityReport(verdict, witness, best_value, starts, seed,
-                             float(np.median(kept)))
+    return FeasibilityReport(verdict, witness, best_value, starts,
+                             _plain(seed), float(np.median(kept)))
 
 
 def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
@@ -476,13 +478,13 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     partial last batch draws other samples.
     """
     _count(samples, "samples")
+    rng = _rng(seed)
     cs = sys.constraint_matrices()
     z, d = len(cs), sys.dim
     if z == 0:
         return 0.0
     cmat = cs.transpose(1, 0, 2).reshape(d, z * d)
     step = max(1, 2 ** 16 // (z * d))  # alpha^T C_z within 1 MB per chunk
-    rng = _rng(seed)
     best = np.inf
     for start in range(0, samples, _SCAN_BATCH):
         n = min(_SCAN_BATCH, samples - start)

@@ -29,9 +29,9 @@ Trials are processed in fixed-size blocks; block b draws its generator
 from the seed material (base seed, b) and takes from it, per block, the
 component stream (only when there are several components), then the
 outcome stream, then the acceptance stream.  Blocks are counted on the
-library's threads (``core._map``) and their integer counts summed in
-block order, so a run is reproducible bit-for-bit and independent of how
-the blocks are distributed across workers.
+library's threads (``core._map``, one share of the blocks per worker) and
+their integer counts summed, an exact sum, so a run is reproducible
+bit-for-bit and independent of how the blocks are split across workers.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (StateVector, TwoStateVector, _array, _check_unit, _count,
-                   _frozen, _map, _real, _rng, _unchecked)
+                   _frozen, _map, _plain, _real, _rng, _unchecked)
 from .errors import (
     DimensionMismatchError,
     InsufficientTrialsError,
@@ -60,10 +60,6 @@ from .measurement import (
 
 #: Trials per RNG block (the shard granularity of the seeding contract).
 BLOCK_SIZE = 8192
-
-#: Blocks handed to the library's threads at once, so the memory of a run
-#: does not grow with its trial count.
-_BLOCKS_PER_MAP = 64
 
 #: Joint probability at or below which validate_abl treats an outcome as
 #: impossible, so exempt from its least-expected-successes rule.
@@ -107,7 +103,7 @@ class MixtureExperiment:
                 )
             _check_unit(pre, "pre")
             _check_unit(post, "post")
-        _count(self.trials, "trials")
+        trials = _count(self.trials, "trials")
         _rng(self.seed, 0)  # block 0's seeding: a bad seed fails here
         rows = _story_rows([(w, _pair_vector(pre, post))
                             for w, pre, post in comps], self.measurement)
@@ -117,6 +113,8 @@ class MixtureExperiment:
                 "post-selection would never succeed"
             )
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", _plain(self.seed))
         object.__setattr__(self, "_rows", rows)
 
 
@@ -209,11 +207,7 @@ def simulate(exp: MixtureExperiment) -> TrialLog:
         accepted = rng.random(n) < q[comp, outcomes]
         return np.bincount(outcomes[accepted], minlength=k)
 
-    blocks = range(-(-exp.trials // BLOCK_SIZE))
-    counts = 0
-    for s in range(0, len(blocks), _BLOCKS_PER_MAP):
-        counts = counts + sum(_map(block_counts,
-                                   blocks[s:s + _BLOCKS_PER_MAP]))
+    counts = sum(_map(block_counts, range(-(-exp.trials // BLOCK_SIZE))))
     return _unchecked(TrialLog, counts, exp.trials)
 
 

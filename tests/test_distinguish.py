@@ -40,6 +40,7 @@ from twinspace import (
     separable_feasibility,
     time_reversal_equivalence_check,
     time_reverse,
+    validate_abl,
     zero_constraints,
 )
 from twinspace.core import _rng
@@ -889,6 +890,38 @@ def test_refuses_a_seed_numpy_cannot_take():
                      Mixture.point(E01), CLASSICAL, 5, 2, -1)):
         with pytest.raises(ShapeMismatchError, match="seed.*-1"):
             call()
+
+
+@pytest.mark.parametrize("seed", ["bad", -1, 2.5])
+def test_scan_refuses_a_bad_seed_without_zero_constraints(seed):
+    """With no zero constraint the scan has nothing to sample, and still
+    refuses the seed."""
+    system = zero_constraints(QUBIT_IDENTITY, [WS.measurement("identity_qubit")])
+    assert system.zero_outcomes == ()
+    with pytest.raises(ShapeMismatchError, match="seed"):
+        scan_separable_residual(system, 10, seed)
+
+
+REPORTS = {
+    "search": lambda i: search_distinguishing_measurement(
+        Mixture.point(E00), Mixture.point(E11), i(5), 2, i(3)),
+    "feasibility": lambda i: separable_feasibility(qutrit_system(), 2, i(0)),
+    "abl validation": lambda i: validate_abl(PrePostExperiment(
+        WS.state("ket0"), WS.state("ket1"), DIAGONAL, i(20000), i(0))),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_reports_of_numpy_integers_serialize_as_of_ints(name):
+    expected = json.dumps(REPORTS[name](int).to_json())
+    assert json.dumps(REPORTS[name](np.int64).to_json()) == expected
+
+
+def test_report_of_an_array_seed_serializes_as_of_a_list():
+    report = separable_feasibility(qutrit_system(), 2, np.array([1, 2]))
+    assert report.seed == [1, 2]
+    assert report.to_json() == separable_feasibility(
+        qutrit_system(), 2, [1, 2]).to_json()
 
 
 def test_valid_seeds_draw_the_same_streams():

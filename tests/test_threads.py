@@ -1,6 +1,6 @@
 """The library's thread map: the null-subspace basis and the Monte Carlo
-blocks are bit-identical on any number of workers, and the pool is safe to
-nest and to fork."""
+blocks are bit-identical on any number of workers, and each map owns its
+threads, so it nests, forks and leaves no thread behind."""
 
 import hashlib
 import multiprocessing
@@ -23,12 +23,12 @@ from twinspace import (
     simulate,
     validate_abl,
 )
-from twinspace import core, montecarlo, structure
+from twinspace import core, structure
 
 WS = builtin_workspace()
 KET0, KET1, PLUS = WS.state("ket0"), WS.state("ket1"), WS.state("plus")
 DIAGONAL = WS.measurement("diagonal")
-WORKERS = (1, 2, 3)
+WORKERS = (1, 2, 3, 5)  # 5: more workers than the Monte Carlo blocks
 
 
 def _basis_digest(m: Measurement) -> str:
@@ -108,10 +108,6 @@ def test_monte_carlo_is_bitwise_equal_on_any_worker_count(monkeypatch, name):
     assert counts == [counts[0]] * len(WORKERS)
     assert reports == [reports[0]] * len(WORKERS)
     assert reports[0]["successes"] == sum(counts[0])
-    # The four blocks handed to the threads three at a time: same counts.
-    monkeypatch.setattr(montecarlo, "_BLOCKS_PER_MAP", 3)
-    assert _per_worker_count(
-        monkeypatch, lambda: simulate(exp).outcome_counts.tolist()) == counts
 
 
 def test_map_keeps_item_order(monkeypatch):
@@ -119,18 +115,37 @@ def test_map_keeps_item_order(monkeypatch):
     assert core._map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
 
 
-def test_map_inside_a_pool_task_runs_inline(monkeypatch):
-    """Two outer tasks on three workers: a free worker is left, so inner
-    tasks sent to the pool would show up on another thread, not hang."""
+def test_nested_map_inside_a_share_completes_in_item_order(monkeypatch):
+    """Every share, the caller's included, opens a map of its own."""
     _set_workers(monkeypatch, 3)
+    out = core._map(lambda x: core._map(lambda y: (x, y), range(5)),
+                    range(4))
+    assert out == [[(x, y) for y in range(5)] for x in range(4)]
 
-    def task(_):
-        outer = threading.get_ident()
-        return outer, core._map(lambda _: threading.get_ident(), range(4))
 
-    for outer, inner in core._map(task, range(2)):
-        assert outer != threading.get_ident()
-        assert inner == [outer] * 4
+def test_map_leaves_no_thread_running(monkeypatch):
+    _set_workers(monkeypatch, 4)
+    before = threading.enumerate()
+    idents = core._map(lambda _: threading.get_ident(), range(8))
+    assert idents[::4] == [threading.get_ident()] * 2  # share 0: the caller
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("bad", range(7))
+def test_an_error_in_any_share_reaches_the_caller(monkeypatch, bad):
+    """Item ``bad`` of seven, in share bad % 3 of three; the call's threads
+    are gone when the error arrives."""
+    _set_workers(monkeypatch, 3)
+    before = threading.enumerate()
+
+    def fn(x):
+        if x == bad:
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match=f"^item {bad}$"):
+        core._map(fn, range(7))
+    assert threading.enumerate() == before
 
 
 def _child_digest(conn):
@@ -139,11 +154,10 @@ def _child_digest(conn):
 
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
-    """After the parent used the pool, a forked child (which has none of
-    its threads) still builds a d = 16 basis, on a pool of its own."""
+    """After the parent mapped on threads, a forked child still builds a
+    d = 16 basis, on a pool of its own."""
     _set_workers(monkeypatch, 2)
     expected = _basis_digest(random_measurement(16, 4, [72]))
-    assert core._pool[0] == os.getpid()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_child_digest, args=(send,))
