@@ -32,6 +32,7 @@ from .distinguish import (
     distribution_gap,
     mixture_statistics,
     reduce_qutrit_family,
+    replicates_on,
     search_distinguishing_measurement,
     separable_feasibility,
     zero_constraints,
@@ -225,7 +226,6 @@ def _reproduce_2(seed: int) -> list[tuple[str, bool, str]]:
     checks.append(("target is non-separable (Schmidt rank 2)",
                    not is_separable(target) and rank == 2, f"rank {rank}"))
 
-    from .distinguish import replicates_on
     all_ok = True
     for t in range(300):
         m = random_measurement(2, 1 + t % 2, [seed, 2, t])

@@ -20,11 +20,12 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
 * ``zero_constraints`` derives a ``ZeroConstraintSystem`` from a target
   and a measurement family alone: the target's zero outcomes, those the
   story rule counts as zero (|A_i| <= DEFAULT_TOL * ||target||), each of
-  which forces Tr(P Phi) = 0 on every would-be mixture member Phi,
+  which forces Tr(P Phi) = 0 on every would-be mixture member Phi, and
+  the system's one coefficient ``stack``, which the three tools below read,
 * ``separable_feasibility`` attacks the resulting bilinear system with one
   batched Levenberg-Marquardt descent of seeded starts over unit vectors
   alpha, beta (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), numpy only,
-  three-valued verdict,
+  three-valued verdict; ``scan_separable_residual`` samples it unanchored,
 * ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
   coefficient stack, eliminates exactly on its (d, d) coefficient arrays
   and prints the contradiction, and
@@ -48,10 +49,12 @@ from .core import (
     TwoStateVector,
     _check_unit,
     _count,
+    _frozen,
     _items,
     _plain,
     _rng,
     _unchecked,
+    is_separable,
     time_reverse,
 )
 from .errors import (
@@ -198,6 +201,10 @@ class SearchResult:
     trials: int
     seed: int
 
+    def __post_init__(self):
+        for name in ("trial_index", "trials", "seed"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
+
     def to_json(self) -> dict:
         return {
             "found": True,
@@ -230,7 +237,7 @@ def search_distinguishing_measurement(
         m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
         gap = _gap(a.components, b.components, m)
         if gap > DEFAULT_TOL:
-            return SearchResult(m, gap, t, trials, _plain(seed))
+            return SearchResult(m, gap, t, trials, seed)
     return None
 
 
@@ -251,12 +258,18 @@ class ZeroConstraintSystem:
     all of them.  The ``anchor`` pair marks the target's largest-amplitude
     outcome of the first measurement: a replicating member must keep its
     amplitude away from zero to form a story there.
+
+    ``stack``, read-only complex128 (z + 1, d, d), is the system's one
+    coefficient stack: Tr(P Phi) = sum_kl C[k,l] alpha_k beta_l for Phi =
+    (sum alpha_k |k>) (x) (sum beta_l <l|) makes C = P^T, for each zero
+    outcome in ``zero_outcomes`` order, then for the anchor.
     """
 
     target: TwoStateVector
     measurements: tuple[Measurement, ...]
     zero_outcomes: tuple[tuple[int, int], ...] = field(init=False)
     anchor: tuple[int, int] = field(init=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "measurements",
@@ -269,25 +282,13 @@ class ZeroConstraintSystem:
             (mi, oi) for mi, a in enumerate(mags)
             for oi, ai in enumerate(a) if ai <= floor))
         object.__setattr__(self, "anchor", (0, int(np.argmax(mags[0]))))
+        object.__setattr__(self, "stack", _frozen(
+            [self.measurements[mi]._stacked[oi].T
+             for mi, oi in (*self.zero_outcomes, self.anchor)]))
 
     @property
     def dim(self) -> int:
         return self.target.dim
-
-    def constraint_matrices(self) -> np.ndarray:
-        """Coefficient matrices C with Tr(P Phi) = sum_kl C[k,l] a_k b_l.
-
-        For Phi = (sum alpha_k |k>) (x) (sum beta_l <l|) the matrix of the
-        zero outcome's projector enters transposed.
-        """
-        d = self.dim  # reshaped so that no zero outcome gives (0, d, d)
-        return np.array([self.measurements[mi].projectors[oi].matrix.T
-                         for mi, oi in self.zero_outcomes],
-                        dtype=np.complex128).reshape(-1, d, d)
-
-    def anchor_matrix(self) -> np.ndarray:
-        mi, oi = self.anchor
-        return self.measurements[mi].projectors[oi].matrix.T
 
     def to_json(self) -> dict:
         return {
@@ -321,6 +322,7 @@ class FeasibilityReport:
     FEASIBLE, where it meets every constraint within the feasibility tolerance.
     ``median_nit``, the median number of descent steps a start kept, is
     deterministic in (starts, seed); a report built by hand may omit it.
+    ``starts`` and ``seed`` are stored plain (``core._plain``).
     """
 
     verdict: FeasibilityVerdict
@@ -331,6 +333,8 @@ class FeasibilityReport:
     median_nit: float | None = None
 
     def __post_init__(self):
+        for name in ("starts", "seed"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         if self.witness is not None:  # so witness_vector is finite, nonzero
             alpha, beta = self.witness
             if alpha.dim != beta.dim:
@@ -364,8 +368,8 @@ def _descent_terms(stack: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """Values (S,), real residuals (S, 2z + 1) and their exact Jacobian
     (S, 2z + 1, 4d) at the unit rows ``alpha``, ``beta`` (S, d).
 
-    ``stack`` holds the z constraint matrices C_z, then the anchor A.  The
-    residuals are Re and Im of alpha^T C_z beta, then the shortfall
+    ``stack`` is ``ZeroConstraintSystem.stack``: z matrices C_z, then the
+    anchor A.  Residuals: Re and Im of alpha^T C_z beta, then the shortfall
     max(0, a - |g|), g = alpha^T A beta, a = DEFAULT_ANCHOR_FLOOR; a value
     is their sum of squares.  The Jacobian is in the step [Re da, Re db,
     Im da, Im db] followed by renormalization: the holomorphic rows C_z beta
@@ -447,11 +451,9 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
     """
     starts = _count(starts, "starts")
     d = sys.dim
-    stack = np.concatenate([sys.constraint_matrices(),
-                            sys.anchor_matrix()[np.newaxis]])
     x = np.array([_rng(seed, s).standard_normal(4 * d)
                   for s in range(starts)]).reshape(starts, 4, d)
-    alpha, beta, values, kept = _descend(stack, x[:, 0] + 1j * x[:, 1],
+    alpha, beta, values, kept = _descend(sys.stack, x[:, 0] + 1j * x[:, 1],
                                          x[:, 2] + 1j * x[:, 3])
     best = int(np.argmin(values))
     best_value = float(values[best])
@@ -463,8 +465,8 @@ def separable_feasibility(sys: ZeroConstraintSystem, starts: int,
         verdict = FeasibilityVerdict.INFEASIBLE_EVIDENCE
     else:
         verdict = FeasibilityVerdict.INCONCLUSIVE
-    return FeasibilityReport(verdict, witness, best_value, starts,
-                             _plain(seed), float(np.median(kept)))
+    return FeasibilityReport(verdict, witness, best_value, starts, seed,
+                             float(np.median(kept)))
 
 
 def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
@@ -479,7 +481,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     """
     _count(samples, "samples")
     rng = _rng(seed)
-    cs = sys.constraint_matrices()
+    cs = sys.stack[:-1]
     z, d = len(cs), sys.dim
     if z == 0:
         return 0.0
@@ -509,8 +511,8 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
 # (0, +-1, +-1/2, +-i/2), so the elimination below is exact in floating
 # point and its rendering is byte-stable.
 
-#: The bundled system's (5, 3, 3) coefficient stack: the zero constraints
-#: of qutrit_family_1..4, in order, then the anchor m[0][0].
+#: The bundled system's ``ZeroConstraintSystem.stack``, snapped: the zero
+#: constraints of qutrit_family_1..4, in order, then the anchor m[0][0].
 _QUTRIT_STACK = np.array([
     [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
     [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
@@ -610,7 +612,7 @@ class ReductionReport:
 def reduce_qutrit_family(sys: ZeroConstraintSystem) -> ReductionReport:
     """Exact elimination showing the bundled qutrit system has no solution.
 
-    One gate: the system's zero constraints, in order, then its anchor,
+    One gate: the system's ``stack`` (zero constraints, then anchor),
     snapped to half-integer Gaussian numbers, must equal _QUTRIT_STACK;
     any other system raises ShapeMismatch.  The derivation reads only these
     coefficients, so the bundled family plus measurements with no zero
@@ -619,8 +621,7 @@ def reduce_qutrit_family(sys: ZeroConstraintSystem) -> ReductionReport:
     intermediate is checked, so the emitted derivation is computed, not
     quoted.
     """
-    stack = _snap_half_gaussian(np.concatenate(
-        [sys.constraint_matrices(), sys.anchor_matrix()[np.newaxis]]))
+    stack = _snap_half_gaussian(sys.stack)
     if not np.array_equal(stack, _QUTRIT_STACK):
         raise ShapeMismatchError(
             "coefficients do not match the bundled qutrit family (got "
@@ -727,8 +728,6 @@ def certify_strict_nonseparability(
     non-separability over the given family; FEASIBLE means the family
     cannot certify; INCONCLUSIVE passes through.
     """
-    from .core import is_separable
-
     if is_separable(target):
         raise SeparableInputError(
             "target is separable; strict non-separability cannot apply"

@@ -20,6 +20,7 @@ from twinspace import (
     NotAStoryError,
     OutcomeDistribution,
     PrePostExperiment,
+    SearchResult,
     SeparableInputError,
     ShapeMismatchError,
     StateVector,
@@ -376,7 +377,7 @@ def test_zero_constraints_on_qutrit_family():
     system = qutrit_system()
     assert system.zero_outcomes == ((0, 1), (1, 1), (2, 1), (3, 1))
     assert system.anchor == (0, 0)
-    cs = system.constraint_matrices()
+    cs = system.stack[:-1]
     assert cs.shape == (4, 3, 3)
     # coefficient matrices are the zero-outcome projectors, transposed
     np.testing.assert_allclose(
@@ -403,7 +404,27 @@ def test_zero_constraints_requires_target_story():
 def test_zero_constraints_empty_for_nowhere_zero_target():
     system = zero_constraints(QUBIT_IDENTITY, [COMPUTATIONAL, DIAGONAL])
     assert system.zero_outcomes == ()
-    assert system.constraint_matrices().shape == (0, 2, 2)
+    assert system.stack.shape == (1, 2, 2)  # the anchor alone
+
+
+@pytest.mark.parametrize("target, family", [
+    (QUTRIT_SIGNED, FAMILY),
+    (QUTRIT_SIGNED, FAMILY[:3]),
+    (E00, (COMPUTATIONAL, DIAGONAL, WS.measurement("circular"))),
+    (QUBIT_IDENTITY, (COMPUTATIONAL, DIAGONAL, WS.measurement("circular"))),
+], ids=["qutrit-family", "qutrit-subfamily", "qubit-family-ket0_bra0",
+        "qubit-family-identity-no-zeros"])
+def test_system_stack_is_its_transposed_projectors(target, family):
+    """The one coefficient stack: P^T of each zero outcome, then of the
+    anchor, read-only C-contiguous complex128, bitwise."""
+    system = zero_constraints(target, family)
+    expected = np.array([family[mi].projectors[oi].matrix.T
+                         for mi, oi in (*system.zero_outcomes, system.anchor)])
+    stack = system.stack
+    assert stack.shape == (len(system.zero_outcomes) + 1, *expected.shape[1:])
+    assert stack.dtype == np.complex128
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    assert stack.tobytes() == expected.tobytes()
 
 
 def reference_zero_system(target, family):
@@ -475,7 +496,7 @@ def test_constraint_amplitude_matches_trace_functional():
     alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     phi = TwoStateVector(np.outer(alpha, beta))
-    for c, (mi, oi) in zip(system.constraint_matrices(), system.zero_outcomes):
+    for c, (mi, oi) in zip(system.stack[:-1], system.zero_outcomes):
         direct = outcome_amplitudes(phi, system.measurements[mi])[oi]
         bilinear = alpha @ c @ beta
         assert bilinear == pytest.approx(direct, abs=1e-12)
@@ -492,7 +513,7 @@ def test_feasibility_feasible_for_separable_target():
     assert report.verdict is FeasibilityVerdict.FEASIBLE
     assert report.best_residual <= 1e-12
     witness = report.witness_vector()
-    for c in system.constraint_matrices():
+    for c in system.stack[:-1]:
         amp = np.einsum("kl,k,l->", c, report.witness[0].amplitudes,
                         report.witness[1].amplitudes)
         assert abs(amp) <= 1e-6
@@ -538,8 +559,7 @@ def _gradient_systems():
     seeded random systems at d = 2, 3, 4, whose matrices are transposed
     projectors of random measurements, neither diagonal nor real."""
     system = qutrit_system()
-    yield pytest.param(system.constraint_matrices(), system.anchor_matrix(),
-                       id="qutrit")
+    yield pytest.param(system.stack[:-1], system.stack[-1], id="qutrit")
     for d in (2, 3, 4):
         m = random_measurement(d, d, [31, d])
         cs = np.array([p.matrix.T for p in m.projectors[:-1]])
@@ -691,7 +711,7 @@ def reference_scan(system, samples, seed):
     """The scan by its definition: the same _rng(seed) draws in batches of
     _SCAN_BATCH as (Re alpha, Im alpha, Re beta, Im beta), unit rows, and
     one einsum for the amplitudes alpha^T C_z beta of each sample."""
-    cs, d = system.constraint_matrices(), system.dim
+    cs, d = system.stack[:-1], system.dim
     rng = _rng(seed)
     best = np.inf
     for lo in range(0, samples, _SCAN_BATCH):
@@ -915,6 +935,20 @@ REPORTS = {
 def test_reports_of_numpy_integers_serialize_as_of_ints(name):
     expected = json.dumps(REPORTS[name](int).to_json())
     assert json.dumps(REPORTS[name](np.int64).to_json()) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda i: FeasibilityReport(FeasibilityVerdict.INCONCLUSIVE, None, 1.0,
+                                i(2), i(0)),
+    lambda i: SearchResult(DIAGONAL, 0.5, i(1), i(3), i(0)),
+], ids=["feasibility", "search"])
+def test_reports_built_by_hand_store_plain_integers(build):
+    """A report built outside the library's builders stores numpy
+    integers as Python ints, so it serializes."""
+    report = build(np.int64)
+    assert json.dumps(report.to_json()) == json.dumps(build(int).to_json())
+    for name in ("starts", "trial_index", "trials", "seed"):
+        assert type(getattr(report, name, 0)) is int
 
 
 def test_report_of_an_array_seed_serializes_as_of_a_list():
