@@ -233,10 +233,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _workers() -> int:
-    """Library threads for ``_map``: usable cores integer-divided by the
-    BLAS thread count (every core when no variable pins it), at least 1.
-    Library threads yield to BLAS threads, so an unpinned process stays
-    serial."""
+    """Library threads for ``_map`` (the null-subspace basis and the Monte
+    Carlo blocks) and ``_ahead`` (the residual scan's draws): usable cores
+    integer-divided by the BLAS thread count (every core when no variable
+    pins it), at least 1.  Library threads yield to BLAS threads, so an
+    unpinned process stays serial."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -272,6 +273,25 @@ def _map(fn, items) -> list:
     for s, results in enumerate(shares):
         items[s::w] = results
     return items
+
+
+def _ahead(produce, consume, items) -> list:
+    """``[consume(produce(x)) for x in items]``.  With _workers() >= 2 and
+    two items or more, ``produce`` runs in item order on one thread that
+    this call opens and closes, one item ahead of the caller's ``consume``,
+    so at most two products are live."""
+    items = list(items)
+    if _workers() < 2 or len(items) < 2:
+        return [consume(produce(x)) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        nxt, out = pool.submit(produce, items[0]), []
+        for x in items[1:]:
+            product = nxt.result()  # drops the last product before a draw
+            nxt = pool.submit(produce, x)
+            out.append(consume(product))
+        return [*out, consume(nxt.result())]
 
 
 @dataclass(frozen=True, eq=False)

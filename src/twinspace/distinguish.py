@@ -26,6 +26,7 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
   batched Levenberg-Marquardt descent of seeded starts over unit vectors
   alpha, beta (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), numpy only,
   three-valued verdict; ``scan_separable_residual`` samples it unanchored,
+  drawing the next batch on a library thread while it evaluates this one,
 * ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
   coefficient stack, eliminates exactly on its (d, d) coefficient arrays
   and prints the contradiction, and
@@ -47,6 +48,7 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
+    _ahead,
     _check_unit,
     _count,
     _frozen,
@@ -477,7 +479,9 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     ``samples`` seeded Gaussian pairs: no anchor term, so it can vanish where
     the anchored residual cannot.  Batches of _SCAN_BATCH make a scan of
     k * _SCAN_BATCH samples extend one of j * _SCAN_BATCH for j <= k; a
-    partial last batch draws other samples.
+    partial last batch draws other samples.  On library threads the next
+    batch is drawn (in order, on one thread) while this one is evaluated, so
+    the samples are the same and at most two batch draws are live.
     """
     _count(samples, "samples")
     rng = _rng(seed)
@@ -487,11 +491,13 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
         return 0.0
     cmat = cs.transpose(1, 0, 2).reshape(d, z * d)
     step = max(1, 2 ** 16 // (z * d))  # alpha^T C_z within 1 MB per chunk
-    best = np.inf
-    for start in range(0, samples, _SCAN_BATCH):
-        n = min(_SCAN_BATCH, samples - start)
-        g = rng.standard_normal((4, n, d))  # Re, Im of alpha, then of beta
-        for lo in range(0, n, step):
+
+    def draw(start: int) -> np.ndarray:  # Re, Im of alpha, then of beta
+        return rng.standard_normal((4, min(_SCAN_BATCH, samples - start), d))
+
+    def floor(g: np.ndarray) -> float:
+        best = np.inf
+        for lo in range(0, g.shape[1], step):
             x = g[:, lo:lo + step]
             a, b = np.empty((2, x.shape[1], d), np.complex128)
             a.real, a.imag, b.real, b.imag = x
@@ -501,7 +507,9 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
                 np.einsum("inj,inj->n", x[:2], x[:2])
                 * np.einsum("inj,inj->n", x[2:], x[2:]))
             best = min(best, float(np.min(res)))
-    return best
+        return best
+
+    return min(_ahead(draw, floor, range(0, samples, _SCAN_BATCH)))
 
 
 # ---------------------------------------------------------------------------

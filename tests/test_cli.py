@@ -112,28 +112,37 @@ def test_find_story_command(capsys):
     assert "case: DIAGONAL" in out
 
 
-#: SHA-256 of ``find-story <vector> --json`` for each bundled vector; the
-#: certificate, its lazily built measurement included, is byte-stable.
-FIND_STORY_SHA256 = {
-    "ket0_bra0":
-        "6b90d14ed4545b42f8d8273c2783ea00e95b2d8c3276d6b733383441521b9b4d",
-    "ket1_bra1":
-        "9b8c994d4c97bd993cb1055b9159a7c783cb9ef8c28e10b7a6b50957bfecd6b0",
-    "ket0_bra1":
-        "9a83006113cf92784e173c75d5eb7a30b79de3cb468dd19f3124b994067483fa",
-    "qubit_identity":
-        "d5f6494720988a8faee5c2f1104a8d975cbfeb1e2d936bbbedaf5e29a609b3fb",
-    "qutrit_signed":
-        "f437da61e9f28a48ad1638a3636d7c1fb6eb519f5945d6230cc43d5dbae0acb7",
-}
+#: The CLI byte contract, {argv: (exit code, stdout SHA-256)}, from the
+#: table that the CI byte loop reads too; see its header for the rows
+#: that print LAPACK floats.
+STDOUT_SHA256 = {
+    row[2]: (int(row[0]), row[1])
+    for row in (line.split("\t") for line in (
+        Path(__file__).with_name("cli_stdout.tsv").read_text().splitlines())
+        if line and not line.startswith("#"))}
 
 
-@pytest.mark.parametrize("vector", sorted(FIND_STORY_SHA256))
+def stdout_digest(argv: str) -> str:
+    return STDOUT_SHA256[argv][1]
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256)
+def test_cli_stdout_is_pinned(argv, capsys):
+    code, out, _ = run(argv.split(), capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("vector", sorted(
+    argv.split()[1] for argv in STDOUT_SHA256
+    if argv.startswith("find-story") and argv.endswith("--json")))
 def test_find_story_json_is_pinned(vector, capsys):
+    """Each bundled vector's certificate, its lazily built measurement
+    included, is byte-stable."""
     code, out, _ = run(["find-story", vector, "--json"], capsys)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == FIND_STORY_SHA256[vector]
+    assert digest == stdout_digest(f"find-story {vector} --json")
 
 
 def test_nullspace_command(capsys):
@@ -142,16 +151,12 @@ def test_nullspace_command(capsys):
     assert "4 - 2 = 2" in out
 
 
-#: SHA-256 of ``nullspace diagonal --json``.
-NULLSPACE_DIAGONAL_SHA256 = (
-    "cc9febf40bf5ee916cfa4214d2fc01e8d43b335fa0ac87d36548c644429d83bc")
-
-
 def test_plain_nullspace_computes_no_basis(capsys, monkeypatch):
     """The dimension is d^2 - k by law; only --json reads the basis."""
     code, out, _ = run(["nullspace", "diagonal", "--json"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == NULLSPACE_DIAGONAL_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        stdout_digest("nullspace diagonal --json")
 
     def no_basis(self):
         raise AssertionError("null-space basis built")
@@ -292,13 +297,6 @@ def test_validate_builtin(capsys):
     assert "workspace valid" in out
 
 
-#: SHA-256 of ``validate`` and ``validate --json`` on the bundled inventory.
-VALIDATE_SHA256 = {
-    False: "3e56070b07fc88901a922a3b78b0a1f8c9e24751c79f9532e47d13a244afc340",
-    True: "de045523669fea8ead013c0d5e4bc4640f84f1f52edb38ced18db2927a749af9",
-}
-
-
 @pytest.mark.parametrize("as_json", [False, True])
 def test_validate_builtin_parses_every_entry(as_json, capsys, monkeypatch):
     """Without --workspace, validate parses the bundled inventory's
@@ -316,7 +314,8 @@ def test_validate_builtin_parses_every_entry(as_json, capsys, monkeypatch):
     assert sorted(calls) == sorted(
         ["states"] * len(ws.states) + ["vectors"] * len(ws.vectors)
         + ["measurements"] * len(ws.measurements))
-    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_SHA256[as_json]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        stdout_digest("validate" + " --json" * as_json)
 
 
 def test_validate_refuses_zero_projector(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""The library's thread map: the null-subspace basis and the Monte Carlo
-blocks are bit-identical on any number of workers, and each map owns its
-threads, so it nests, forks and leaves no thread behind."""
+"""The library's threads: the null-subspace basis, the Monte Carlo blocks
+and the residual scan are bit-identical on any number of workers, and each
+call owns its threads, so it nests, forks and leaves no thread behind."""
 
 import hashlib
 import multiprocessing
 import os
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +20,16 @@ from twinspace import (
     MixtureExperiment,
     NullSubspace,
     PrePostExperiment,
+    TwoStateVector,
     builtin_workspace,
     random_measurement,
+    scan_separable_residual,
     simulate,
     validate_abl,
+    zero_constraints,
 )
-from twinspace import core, structure
+from twinspace import core, distinguish, structure
+from twinspace.distinguish import _SCAN_BATCH
 
 WS = builtin_workspace()
 KET0, KET1, PLUS = WS.state("ket0"), WS.state("ket1"), WS.state("plus")
@@ -145,6 +151,127 @@ def test_an_error_in_any_share_reaches_the_caller(monkeypatch, bad):
 
     with pytest.raises(ValueError, match=f"^item {bad}$"):
         core._map(fn, range(7))
+    assert threading.enumerate() == before
+
+
+def _rank_one_system(d: int, seed: int):
+    """The zero constraints of P_0 on a random rank-one measurement: z = d - 1
+    generic complex constraints (none at d = 1)."""
+    m = random_measurement(d, d, seed)
+    return zero_constraints(TwoStateVector(m.projectors[0].matrix), [m])
+
+
+SCANS = {
+    "d = 1, z = 0": (1, 1000),
+    "d = 3, one batch": (3, _SCAN_BATCH),
+    "d = 3, partial last batch": (3, 3 * _SCAN_BATCH + 700),
+    "d = 16, two batches": (16, 2 * _SCAN_BATCH),
+}
+
+
+@pytest.mark.parametrize("switch", [None, 1e-6])
+@pytest.mark.parametrize("name", SCANS)
+def test_scan_is_bitwise_equal_on_any_worker_count(monkeypatch, name,
+                                                   switch):
+    """Also with the interpreter switching threads every microsecond."""
+    d, samples = SCANS[name]
+    system = _rank_one_system(d, d)
+    interval = sys.getswitchinterval()
+    try:
+        if switch is not None:
+            sys.setswitchinterval(switch)
+        floors = _per_worker_count(
+            monkeypatch,
+            lambda: scan_separable_residual(system, samples, 7).hex())
+    finally:
+        sys.setswitchinterval(interval)
+    assert floors == [floors[0]] * len(WORKERS)
+    assert (floors[0] == (0.0).hex()) == (d == 1)
+
+
+class _SecondDrawFails:
+    """A generator whose second draw raises."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        if self.draws == 2:
+            raise FloatingPointError("draw 2")
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", WORKERS)
+def test_an_error_in_a_scan_draw_reaches_the_caller(monkeypatch, n):
+    _set_workers(monkeypatch, n)
+    rng = distinguish._rng
+    monkeypatch.setattr(distinguish, "_rng",
+                        lambda seed: _SecondDrawFails(rng(seed)))
+    before = threading.enumerate()
+    with pytest.raises(FloatingPointError, match="^draw 2$"):
+        scan_separable_residual(_rank_one_system(3, 3), 3 * _SCAN_BATCH, 0)
+    assert threading.enumerate() == before
+
+
+def test_threaded_scan_holds_at_most_two_draws(monkeypatch):
+    """Three d = 16 batches on two workers: each (4, 2**16, 16) float64
+    draw is 32 MB, and the next one is drawn while this one is evaluated."""
+    _set_workers(monkeypatch, 2)
+    system = _rank_one_system(16, 0)
+    tracemalloc.start()
+    try:
+        scan_separable_residual(system, 3 * _SCAN_BATCH, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+
+
+def test_ahead_produces_in_order_on_one_other_thread(monkeypatch):
+    _set_workers(monkeypatch, 2)
+    before = threading.enumerate()
+    made = []
+
+    def produce(x):
+        made.append((x, threading.get_ident()))
+        return x * x
+
+    assert core._ahead(produce, lambda y: y + 1, range(6)) == \
+        [x * x + 1 for x in range(6)]
+    assert [x for x, _ in made] == list(range(6))
+    assert len({t for _, t in made}) == 1
+    assert made[0][1] != threading.get_ident()
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("n, items", [(1, 6), (5, 1)])
+def test_ahead_stays_on_the_caller_without_two_workers_and_items(
+        monkeypatch, n, items):
+    _set_workers(monkeypatch, n)
+    idents = core._ahead(lambda _: threading.get_ident(), lambda t: t,
+                         range(items))
+    assert idents == [threading.get_ident()] * items
+
+
+@pytest.mark.parametrize("stage", ["produce", "consume"])
+@pytest.mark.parametrize("bad", range(4))
+def test_an_error_in_either_ahead_stage_reaches_the_caller(monkeypatch,
+                                                           stage, bad):
+    _set_workers(monkeypatch, 2)
+    before = threading.enumerate()
+
+    def fn(x):
+        if x == bad:
+            raise ValueError(f"item {x}")
+        return x
+
+    def same(x):
+        return x
+
+    produce, consume = (fn, same) if stage == "produce" else (same, fn)
+    with pytest.raises(ValueError, match=f"^item {bad}$"):
+        core._ahead(produce, consume, range(4))
     assert threading.enumerate() == before
 
 
