@@ -2,18 +2,19 @@ r"""Mixtures, indistinguishability, and evidence of strict non-separability.
 
 A statistical mixture of two-state vectors assigns classical weights to
 component vectors.  Its conditional outcome statistics on a measurement
-come from the one per-component pass of ``measurement``, whose rows are the
-positive-weight components that form a story (one inside the measurement's
-null subspace contributes no post-selected events at all): the
-prior-weighted rule sum_c (w_c / sum w) ABL(v_c) over the rows.  The
-Monte Carlo sampler reads the same rows; sampling its pairs at
+are the prior-weighted rule sum_c (w_c / sum w) ABL(v_c) over its rows:
+the positive-weight components that form a story by the story rule of
+``measurement`` (one inside the measurement's null subspace contributes no
+post-selected events at all).  The Monte Carlo sampler reads the same rows
+through ``measurement._story_rows``; sampling its pairs at
 u_c = w_c / sum_j |A_j(v_c)|^2 (normalized) reproduces these statistics.
 
 The central question here: can the statistics of a *non-separable*
 two-state vector be replicated by a mixture of separable ones?  Tooling:
 
 * ``replicates_on``, ``search_distinguishing_measurement`` and
-  ``time_reversal_equivalence_check`` apply one gap rule per measurement:
+  ``time_reversal_equivalence_check`` apply one gap rule per measurement
+  of a stack (one, except in the search's doubling chunks of trials):
   0 when neither side forms a story, 1 when exactly one does, otherwise
   the max-norm gap of the two distributions; the sides are told apart iff
   the gap exceeds DEFAULT_TOL,
@@ -48,6 +49,7 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
+    _SAFE_RANGE,
     _ahead,
     _check_unit,
     _count,
@@ -69,10 +71,10 @@ from .measurement import (
     Measurement,
     OutcomeDistribution,
     _abl,
+    _amplitudes,
     _check_weights,
+    _random_stacks,
     _required_story,
-    _story_rows,
-    random_measurement,
 )
 
 #: Residual classification threshold for separable_feasibility.
@@ -92,6 +94,9 @@ _DAMPING_FLOOR = 1e-12
 
 #: Pairs per batch of scan_separable_residual; longer scans repeat whole ones.
 _SCAN_BATCH = 1 << 16
+
+#: Complex entries (1 MB) per chunk of search_distinguishing_measurement.
+_CHUNK_ENTRIES = 1 << 16
 
 #: Distance to an integer within which _snap_half_gaussian snaps 2 * part.
 _SNAP_TOL = 1e-9
@@ -129,26 +134,51 @@ class Mixture:
         return cls(((1.0, v),))
 
 
-def _statistics(components, m: Measurement) -> np.ndarray | None:
-    """The prior-weighted rule on the story rows of (weight, vector)
-    components: sum_c (w_c / sum w) * ABL(v_c) over the rows, None when
-    there are none."""
-    rows = _story_rows(components, m)
-    if not rows:
-        return None
-    total = sum(w for _, w, _ in rows)
-    return sum((w / total) * _abl(mags) for _, w, mags in rows)
+def _statistics(stacks: np.ndarray, *sides) -> list:
+    """The prior-weighted rule of each side, a list of (weight, vector)
+    components, on each trial of a (T, k, d, d) stack: per side the (T, k)
+    statistics and the (T,) mask of trials with story rows.  One amplitude
+    pass per component; a row whose squares sum outside _SAFE_RANGE takes
+    the scalar ``_abl``; sums run in component order, so each trial gets
+    the bits of its own one-measurement pass."""
+    trials, k, dim = stacks.shape[:3]
+    sides = [[(w, v) for w, v in side if w > 0.0] for side in sides]
+    rows = [c for side in sides for c in side]
+    if rows[0][1].dim != dim:
+        raise DimensionMismatchError(
+            f"vector dim {rows[0][1].dim} != measurement dim {dim}")
+    flat = stacks.reshape(trials * k, dim, dim)
+    mags = np.abs([_amplitudes(flat, v.matrix) for _, v in rows])
+    mags = mags.reshape(len(rows), trials, k)
+    scale = np.array([(w, DEFAULT_TOL * v.hs_norm) for w, v in rows])
+    story = mags.max(axis=2) > scale[:, 1:]
+    prior = scale[:, :1] * story
+    with np.errstate(all="ignore"):  # a row no story or sum owns is unread
+        weights = mags ** 2
+        total = weights.sum(axis=2, keepdims=True)
+        probs = weights / total
+        lo, hi = _SAFE_RANGE
+        if not lo <= total.min() <= total.max() <= hi:
+            for r, t in np.argwhere(~((total >= lo) & (total <= hi))[..., 0]):
+                probs[r, t] = _abl(mags[r, t]) if story[r, t] else 0.0
+        out, start = [], 0
+        for side in sides:
+            part = slice(start, start + len(side))
+            start = part.stop
+            if len(side) == 1:  # w / w = 1 exactly: the row itself
+                out.append((probs[part.start], story[part.start]))
+                continue
+            total = np.add.accumulate(prior[part])[-1]
+            terms = (prior[part] / total)[..., np.newaxis] * probs[part]
+            out.append((np.add.accumulate(terms)[-1], total > 0.0))
+    return out
 
 
-def _gap(a, b, m: Measurement) -> float:
-    """The indistinguishability rule on two (weight, vector) component
-    lists: 0.0 when neither side forms a story with ``m``, 1.0 when exactly
-    one does, otherwise the max-norm gap of their prior-weighted
-    statistics.  The sides are told apart iff the gap exceeds DEFAULT_TOL."""
-    sa, sb = _statistics(a, m), _statistics(b, m)
-    if sa is None or sb is None:
-        return float((sa is None) != (sb is None))
-    return float(np.max(np.abs(sa - sb)))
+def _gaps(a, b, stacks: np.ndarray) -> np.ndarray:
+    """The gap rule (module docstring) of two (weight, vector) component
+    lists on each trial of a (T, k, d, d) stack."""
+    (sa, ha), (sb, hb) = _statistics(stacks, a, b)
+    return np.where(ha & hb, np.abs(sa - sb).max(axis=1), ha != hb)
 
 
 def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
@@ -160,12 +190,12 @@ def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
     ``montecarlo.simulate_mixture``).  Raises NoStoryInMixture when no
     component (of positive weight) forms a story.
     """
-    stats = _statistics(mix.components, m)
-    if stats is None:
+    (stats, found), = _statistics(m._stacked[np.newaxis], mix.components)
+    if not found[0]:
         raise NoStoryInMixtureError(
             "no component of positive weight forms a story with the measurement"
         )
-    return _unchecked(OutcomeDistribution, stats)
+    return _unchecked(OutcomeDistribution, stats[0])
 
 
 def distribution_gap(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
@@ -182,14 +212,15 @@ def replicates_on(a: Mixture, b: Mixture, m: Measurement) -> bool:
     (module docstring) is at most DEFAULT_TOL."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
-    return _gap(a.components, b.components, m) <= DEFAULT_TOL
+    return bool(_gaps(a.components, b.components,
+                      m._stacked[np.newaxis])[0] <= DEFAULT_TOL)
 
 
 def time_reversal_equivalence_check(v: TwoStateVector, measurements) -> bool:
     """True iff v and its time reversal are indistinguishable, by the gap
     rule of ``replicates_on``, on every measurement in the list."""
     fwd, rev = ((1.0, v),), ((1.0, time_reverse(v)),)
-    return all(_gap(fwd, rev, m) <= DEFAULT_TOL
+    return all(_gaps(fwd, rev, m._stacked[np.newaxis])[0] <= DEFAULT_TOL
                for m in _items(measurements, "measurements"))
 
 
@@ -227,19 +258,30 @@ def search_distinguishing_measurement(
 ) -> SearchResult | None:
     """Sample random measurements until one separates the two mixtures.
 
-    Trial t draws its measurement from the derived seed (seed, t), so the
-    search is deterministic and order-independent.  Returns the first
-    measurement whose distribution gap exceeds DEFAULT_TOL (gap 1.0 when
-    exactly one side forms a story), or None after all trials.
+    Trial t draws ``random_measurement(d, k, [seed, t])``, so the search
+    is deterministic and order-independent.  Returns the first measurement
+    whose distribution gap exceeds DEFAULT_TOL (gap 1.0 when exactly one
+    side forms a story), or None after all trials.  Trials are drawn and
+    scored in stacks of 1, 2, 4, ... trials, at most _CHUNK_ENTRIES complex
+    entries (or one trial) each, so a search that separates at trial t
+    draws at most 2t + 1.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
     trials = _count(trials, "trials")
-    for t in range(trials):
-        m = random_measurement(a.dim, outcomes_per_trial, [seed, t])
-        gap = _gap(a.components, b.components, m)
-        if gap > DEFAULT_TOL:
-            return SearchResult(m, gap, t, trials, seed)
+    start, size = 0, 1
+    while start < trials:
+        stop = min(trials, start + size)
+        stacks = _random_stacks(a.dim, outcomes_per_trial, seed,
+                                [(t,) for t in range(start, stop)])
+        gaps = _gaps(a.components, b.components, stacks)
+        hits = np.flatnonzero(gaps > DEFAULT_TOL)
+        if hits.size:
+            t = hits[0]
+            return SearchResult(Measurement._trusted(_frozen(stacks[t])),
+                                float(gaps[t]), start + t, trials, seed)
+        start, size = stop, max(1, min(2 * size,
+                                       _CHUNK_ENTRIES // stacks[0].size))
     return None
 
 

@@ -478,14 +478,11 @@ def abl_probabilities(v: TwoStateVector,
     return _unchecked(OutcomeDistribution, _abl(_required_story(v, m)))
 
 
-def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measurement:
-    """Haar-random projective measurement with the given outcome count.
-
-    Draws a Haar-distributed unitary (QR of a complex Gaussian matrix with
-    the standard phase fix), shuffles the column order, and splits it into
-    ``num_outcomes`` contiguous nonempty groups with uniformly chosen cut
-    points.  Deterministic in ``rng_seed``.
-    """
+def _random_stacks(dim: int, num_outcomes: int, seed, keys) -> np.ndarray:
+    """Read-only (T, k, d, d) projector stacks of T ``random_measurement``
+    draws, trial t seeded by ``_rng(seed, *keys[t])``: one batched QR (the
+    same LAPACK routine per matrix), one phase fix and one matmul per group
+    size give each trial the bits of its own single draw."""
     dim = _integer(dim, "measurement dimension")
     num_outcomes = _integer(num_outcomes, "num_outcomes")
     if not 1 <= num_outcomes <= dim:
@@ -493,14 +490,45 @@ def random_measurement(dim: int, num_outcomes: int, rng_seed: int) -> Measuremen
             f"num_outcomes must lie in [1, {dim}], got {num_outcomes}"
         )
     _check_dim(dim, "measurement")  # before the d x d draws
-    rng = _rng(rng_seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = np.empty((len(keys), dim, dim), np.complex128)
+    groups: dict = {}  # group size -> [(trial, outcome, columns), ...]
+    for t, key in enumerate(keys):
+        rng = _rng(seed, *key)
+        g[t] = (rng.standard_normal((dim, dim))
+                + 1j * rng.standard_normal((dim, dim)))
+        order = rng.permutation(dim)
+        cuts = [] if num_outcomes == 1 else np.sort(
+            rng.choice(dim - 1, size=num_outcomes - 1, replace=False) + 1)
+        bounds = [0, *cuts, dim]
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            groups.setdefault(b - a, []).append((t, i, order[a:b]))
     q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    q = q * phases
-    order = rng.permutation(dim)
-    cuts = np.sort(rng.choice(dim - 1, size=num_outcomes - 1, replace=False) + 1) \
-        if num_outcomes > 1 else np.array([], dtype=int)
-    bounds = [0, *cuts.tolist(), dim]
-    return Measurement._trusted(_frame_stack(
-        [q[:, order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, np.newaxis]
+    shape = (len(keys), num_outcomes, dim, dim)
+    out = np.empty(shape, np.complex128) if len(groups) != 1 else None
+    for items in groups.values():
+        t, i, cols = map(np.array, zip(*items))
+        block = np.ascontiguousarray(
+            q[t[:, np.newaxis], :, cols].swapaxes(1, 2))
+        frames = block @ block.conj().swapaxes(1, 2)
+        if out is None:  # one group size: frames in (trial, outcome) order
+            out = frames.reshape(shape)
+        else:
+            out[t, i] = frames
+    out.setflags(write=False)
+    return out
+
+
+def random_measurement(dim: int, num_outcomes: int,
+                       rng_seed: int) -> Measurement:
+    """Haar-random projective measurement with the given outcome count.
+
+    Draws a Haar-distributed unitary (QR of a complex Gaussian matrix with
+    the standard phase fix), shuffles the column order, and splits it into
+    ``num_outcomes`` contiguous nonempty groups with uniformly chosen cut
+    points.  Deterministic in ``rng_seed``; the random-measurement trials
+    draw the same measurements in stacks (``_random_stacks``).
+    """
+    return Measurement._trusted(
+        _random_stacks(dim, num_outcomes, rng_seed, [()])[0])

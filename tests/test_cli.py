@@ -494,6 +494,20 @@ def test_negative_seed_is_an_input_error(argv, capsys):
     assert "-1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "ket0_bra1", "classical_qubit", "--trials", "5"],
+    ["reproduce", "1"],
+    ["reproduce", "2"],
+])
+def test_seed_faults_name_the_callers_seed(argv, capsys):
+    """The random-measurement trials refuse --seed -1 by the seed the
+    caller gave, not by a derived one such as [-1, 1, 0]."""
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "got -1 (" in err
+
+
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_reproduce_passes(example, capsys):
     code, out, _ = run(["reproduce", str(example)], capsys)

@@ -44,8 +44,17 @@ from twinspace import (
     validate_abl,
     zero_constraints,
 )
+import twinspace.distinguish as distinguish_module
+import twinspace.measurement as measurement_module
 from twinspace.core import _rng
-from twinspace.distinguish import _SCAN_BATCH, DEFAULT_ANCHOR_FLOOR
+from twinspace.distinguish import (
+    _CHUNK_ENTRIES,
+    _SCAN_BATCH,
+    DEFAULT_ANCHOR_FLOOR,
+    _gaps,
+    _statistics,
+)
+from twinspace.measurement import _abl, _random_stacks, _story_rows
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 WS = builtin_workspace()
@@ -367,6 +376,153 @@ def test_distributions_built_only_where_returned(builds):
                                            [COMPUTATIONAL, DIAGONAL])
     assert builds.of(OutcomeDistribution) == 2
     assert builds.of(kind="checked") == 0
+
+
+def per_trial_statistics(components, m):
+    """The prior-weighted rule on one measurement, row by row: the story
+    rows of measurement._story_rows, the scalar ABL rule, Python sums in
+    component order; None when there are no rows."""
+    rows = _story_rows(components, m)
+    if not rows:
+        return None
+    total = sum(w for _, w, _ in rows)
+    return sum((w / total) * _abl(mags) for _, w, mags in rows)
+
+
+def per_trial_gap(a, b, m):
+    """The gap rule on one measurement from per_trial_statistics."""
+    sa = per_trial_statistics(a.components, m)
+    sb = per_trial_statistics(b.components, m)
+    if sa is None or sb is None:
+        return float((sa is None) != (sb is None))
+    return float(np.max(np.abs(sa - sb)))
+
+
+def scaled(mix, factor):
+    return Mixture(tuple((w, TwoStateVector(v.matrix * factor))
+                         for w, v in mix.components))
+
+
+def test_stacked_rule_equals_the_row_by_row_rule_bit_for_bit():
+    """On a stack of trials, every trial's statistics and gap carry the
+    bits of the row-by-row rule on its own measurement, also at scales
+    whose squares leave the safe range (the scalar ABL rescue) and with
+    k >= 8 outcomes, where numpy sums a row pairwise."""
+    rng = np.random.default_rng(46)
+    wide = [(d, d, None, random_mixture(rng, d, m), random_mixture(rng, d, m))
+            for d in (9, 16) for m in [random_measurement(d, d, [46, d])]]
+    for i, (d, k, _, a, b) in enumerate([*gap_cases(44, 40), *wide]):
+        ms = [random_measurement(d, k, [44, i, t]) for t in range(5)]
+        stacks = np.array([m._stacked for m in ms])
+        for factor in (1.0, 1e-300, 1e-160, 1e160, 1e300):
+            sa, sb = scaled(a, factor), scaled(b, factor)
+            gaps = _gaps(sa.components, sb.components, stacks)
+            (stats, found), = _statistics(stacks, sa.components)
+            for t, m in enumerate(ms):
+                assert float.hex(float(gaps[t])) == float.hex(
+                    per_trial_gap(sa, sb, m))
+                expected = per_trial_statistics(sa.components, m)
+                assert found[t] == (expected is not None)
+                if expected is not None:
+                    np.testing.assert_array_equal(stats[t], expected)
+                    np.testing.assert_array_equal(
+                        mixture_statistics(sa, m).probabilities, expected)
+
+
+def near_cases(seed, count):
+    """Points 3e-10 apart in relative norm, d = 2-4, two outcomes: most
+    random measurements separate them, some do not."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 2 + i % 3
+        v, w = random_vector(rng, d).matrix, random_vector(rng, d).matrix
+        near = v + 3e-10 * np.linalg.norm(v) / np.linalg.norm(w) * w
+        yield (d, 2, None, Mixture.point(TwoStateVector(v)),
+               Mixture.point(TwoStateVector(near)))
+
+
+def test_search_equals_the_per_trial_rule_bit_for_bit():
+    """Over zero weights, storyless components, d = 1-4 and pairs that
+    only some measurements separate, the stacked search stops at the trial
+    where a loop of replicates_on on random_measurement(d, k, [seed, t])
+    stops, with that trial's row-by-row gap and its projectors, to the
+    last bit."""
+    seen = set()
+    cases = [*gap_cases(41, 80), *near_cases(45, 24)]
+    for i, (d, k, _, a, b) in enumerate(cases):
+        trials, seed = 9, 100 + i
+        found = search_distinguishing_measurement(a, b, trials, k, seed)
+        ms = [random_measurement(d, k, [seed, t]) for t in range(trials)]
+        first = next((t for t, m in enumerate(ms)
+                      if not replicates_on(a, b, m)), None)
+        for m in ms[:first]:
+            assert per_trial_gap(a, b, m) <= DEFAULT_TOL
+        if first is None:
+            assert found is None
+            seen.add("none")
+            continue
+        assert found.trial_index == first
+        assert float.hex(found.gap) == float.hex(
+            per_trial_gap(a, b, ms[first]))
+        np.testing.assert_array_equal(
+            found.measurement._stacked.view(np.uint64),
+            ms[first]._stacked.view(np.uint64))
+        seen.add("mismatch" if found.gap == 1.0 else "gap")
+        seen.add("later" if first else "first")
+    assert seen == {"none", "mismatch", "gap", "first", "later"}
+
+
+def counting_rng(monkeypatch):
+    """Record every seeding of the stacked Haar draw."""
+    calls = []
+
+    def rng(seed, *keys):
+        calls.append((seed, *keys))
+        return _rng(seed, *keys)
+
+    monkeypatch.setattr(measurement_module, "_rng", rng)
+    return calls
+
+
+def test_search_separating_at_trial_t_draws_at_most_2t_plus_1(monkeypatch):
+    calls = counting_rng(monkeypatch)
+    found = search_distinguishing_measurement(
+        Mixture.point(E00), Mixture.point(E11), 10 ** 6, 2, 0)
+    assert found.trial_index == 0
+    assert 1 <= len(calls) <= 2
+    for i, (d, k, _, a, b) in enumerate([*gap_cases(41, 80),
+                                         *near_cases(45, 24)]):
+        calls.clear()
+        found = search_distinguishing_measurement(a, b, 40, k, 100 + i)
+        if found is not None:
+            assert len(calls) <= 2 * found.trial_index + 1
+            assert calls[found.trial_index] == (100 + i, found.trial_index)
+
+
+@pytest.mark.parametrize("k, chunks", [(2, [1, 2, 4, 8, 8, 8, 8, 1]),
+                                       (64, [1] * 4)])
+def test_search_chunks_stay_within_the_entry_budget(monkeypatch, k, chunks):
+    """At d = 64 a chunk holds at most _CHUNK_ENTRIES complex entries, or
+    one trial when a single trial's stack is larger."""
+    sizes = []
+
+    def spy(dim, k, seed, keys):
+        stacks = _random_stacks(dim, k, seed, keys)
+        assert stacks.size <= max(_CHUNK_ENTRIES, stacks[0].size)
+        sizes.append(len(stacks))
+        return stacks
+
+    monkeypatch.setattr(distinguish_module, "_random_stacks", spy)
+    rng = np.random.default_rng(64)
+    a = Mixture.point(random_vector(rng, 64))
+    assert search_distinguishing_measurement(a, a, sum(chunks), k, 0) is None
+    assert sizes == chunks
+
+
+def test_search_seed_fault_names_the_callers_seed():
+    with pytest.raises(ShapeMismatchError, match=r"got -1 \("):
+        search_distinguishing_measurement(Mixture.point(E01), CLASSICAL,
+                                          5, 2, -1)
 
 
 # ---------------------------------------------------------------------------

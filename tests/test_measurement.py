@@ -473,6 +473,65 @@ def test_random_measurement_accepts_seed_sequences():
                                   b.projectors[0].matrix)
 
 
+def per_trial_haar_draw(dim, k, seed):
+    """One Haar-random measurement's (k, d, d) stack, drawn and built one
+    matrix at a time: QR of a complex Gaussian, the phase fix, a column
+    order, k - 1 cuts, and P_g = cols cols^dagger per column group."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    order = rng.permutation(dim)
+    cuts = (np.sort(rng.choice(dim - 1, size=k - 1, replace=False) + 1)
+            if k > 1 else np.array([], dtype=int))
+    bounds = [0, *cuts.tolist(), dim]
+    return np.array([q[:, order[a:b]] @ q[:, order[a:b]].conj().T
+                     for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 7, [5, 3], 2 ** 40])
+@pytest.mark.parametrize("dim, k", [(1, 1), (2, 1), (2, 2), (3, 2), (5, 5),
+                                    (8, 4), (16, 5), (64, 2)])
+def test_random_measurement_is_the_per_trial_haar_draw(dim, k, seed):
+    """random_measurement gives, bit for bit, the measurement drawn and
+    built one matrix at a time."""
+    np.testing.assert_array_equal(
+        bits(random_measurement(dim, k, seed)._stacked),
+        bits(per_trial_haar_draw(dim, k, seed)))
+
+
+@pytest.mark.parametrize("seed", [7, [7, 3]])
+@pytest.mark.parametrize("dim, k", sorted({(d, k) for d in (1, 2, 3, 8, 64)
+                                           for k in (1, 2, d) if k <= d}))
+def test_random_stacks_equal_single_draws_bit_for_bit(dim, k, seed):
+    """Trial t of a stacked draw on (seed, keys) is random_measurement of
+    [seed, *keys[t]], to the last bit, whatever the other trials are."""
+    trials = 3 if dim == 64 else 12
+    keys = [(t,) for t in range(trials)] + [(1, 5), (0,)]
+    stacks = measurement_module._random_stacks(dim, k, seed, keys)
+    assert stacks.shape == (len(keys), k, dim, dim)
+    assert not stacks.flags.writeable
+    for key, stack in zip(keys, stacks):
+        np.testing.assert_array_equal(
+            bits(stack),
+            bits(random_measurement(dim, k, [seed, *key])._stacked))
+
+
+def test_random_stacks_check_their_arguments_before_drawing(monkeypatch):
+    """A bad dimension or outcome count is refused before any seeding."""
+    calls = []
+    monkeypatch.setattr(measurement_module, "_rng",
+                        lambda *a: calls.append(a))
+    for dim, k in ((0, 1), (3, 4), (3, 0), (2.0, 1), (MAX_DIM + 1, 1)):
+        with pytest.raises(ShapeMismatchError):
+            measurement_module._random_stacks(dim, k, 0, [(0,)])
+    assert calls == []
+
+
 def test_random_measurement_ranks_partition_dimension():
     for dim in range(2, 6):
         for k in range(1, dim + 1):
