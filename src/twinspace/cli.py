@@ -30,13 +30,11 @@ from .distinguish import (
     CertificationVerdict,
     FeasibilityVerdict,
     Mixture,
-    _gaps,
-    _statistics,
     certify_strict_nonseparability,
-    mixture_statistics,
     reduce_qutrit_family,
     search_distinguishing_measurement,
     separable_feasibility,
+    trial_gaps,
     zero_constraints,
 )
 from .errors import (
@@ -45,12 +43,7 @@ from .errors import (
     NotAStoryError,
     TwinspaceError,
 )
-from .measurement import (
-    Measurement,
-    _random_stacks,
-    abl_probabilities,
-    forms_story,
-)
+from .measurement import abl_probabilities, forms_story
 from .montecarlo import PrePostExperiment, validate_abl
 from .structure import NullSubspace, find_story_measurement
 from .workspace import (
@@ -203,15 +196,9 @@ def _reproduce_1(seed: int) -> list[tuple[str, bool, str]]:
     checks.append(("abl on |+>/|-> equals (1/2, 1/2)", err <= 1e-12,
                    f"max deviation {err:.3e}"))
 
-    stacks = _random_stacks(2, 2, seed, [(1, t) for t in range(300)])
-    (dt, story), (dm, mixed) = _statistics(stacks, ((1.0, target),),
-                                           mix.components)
-    fault = np.flatnonzero(~(story & mixed))
-    if fault.size:  # raise as that trial's own calls do
-        m = Measurement._trusted(stacks[fault[0]])
-        abl_probabilities(target, m)
-        mixture_statistics(mix, m)
-    worst = float(max(np.abs(dt - 0.5).max(), np.abs(dt - dm).max()))
+    gaps, dt, _ = trial_gaps(Mixture.point(target), mix, 2, seed,
+                             [(1, t) for t in range(300)])
+    worst = float(max(np.abs(dt - 0.5).max(), gaps.max()))
     checks.append(("target and classical mixture give (1/2, 1/2) on 300 "
                    "random two-outcome measurements", worst <= 1e-10,
                    f"worst deviation {worst:.3e}"))
@@ -236,10 +223,10 @@ def _reproduce_2(seed: int) -> list[tuple[str, bool, str]]:
     checks.append(("target is non-separable (Schmidt rank 2)",
                    not is_separable(target) and rank == 2, f"rank {rank}"))
 
-    all_ok = all(np.all(_gaps(
-        ((1.0, target),), mix.components,
-        _random_stacks(2, k, seed, [(2, t) for t in range(k - 1, 300, 2)]),
-    ) <= DEFAULT_TOL) for k in (1, 2))
+    all_ok = all(np.all(trial_gaps(
+        Mixture.point(target), mix, k, seed,
+        [(2, t) for t in range(k - 1, 300, 2)])[0] <= DEFAULT_TOL)
+        for k in (1, 2))
     checks.append(("classical mixture replicates the target on 300 random "
                    "one- and two-outcome measurements", all_ok,
                    "all replicated" if all_ok else "gap found"))

@@ -6,7 +6,7 @@ are the prior-weighted rule sum_c (w_c / sum w) ABL(v_c) over its rows:
 the positive-weight components that form a story by the story rule of
 ``measurement`` (one inside the measurement's null subspace contributes no
 post-selected events at all).  The Monte Carlo sampler reads the same rows
-through ``measurement._story_rows``; sampling its pairs at
+through ``measurement._story_pass``; sampling its pairs at
 u_c = w_c / sum_j |A_j(v_c)|^2 (normalized) reproduces these statistics.
 
 The central question here: can the statistics of a *non-separable*
@@ -49,7 +49,6 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
-    _SAFE_RANGE,
     _ahead,
     _check_unit,
     _count,
@@ -71,10 +70,10 @@ from .measurement import (
     Measurement,
     OutcomeDistribution,
     _abl,
-    _amplitudes,
     _check_weights,
     _random_stacks,
     _required_story,
+    _story_pass,
 )
 
 #: Residual classification threshold for separable_feasibility.
@@ -137,48 +136,45 @@ class Mixture:
 def _statistics(stacks: np.ndarray, *sides) -> list:
     """The prior-weighted rule of each side, a list of (weight, vector)
     components, on each trial of a (T, k, d, d) stack: per side the (T, k)
-    statistics and the (T,) mask of trials with story rows.  One amplitude
-    pass per component; a row whose squares sum outside _SAFE_RANGE takes
-    the scalar ``_abl``; sums run in component order, so each trial gets
-    the bits of its own one-measurement pass."""
-    trials, k, dim = stacks.shape[:3]
+    statistics and the (T,) mask of trials with story rows.  The rows come
+    from one ``_story_pass`` and one ``_abl`` call (a row without a story
+    reads as all ones and gets prior weight 0); sums run in component
+    order, so each trial gets the bits of its own one-measurement pass."""
     sides = [[(w, v) for w, v in side if w > 0.0] for side in sides]
     rows = [c for side in sides for c in side]
-    if rows[0][1].dim != dim:
-        raise DimensionMismatchError(
-            f"vector dim {rows[0][1].dim} != measurement dim {dim}")
-    flat = stacks.reshape(trials * k, dim, dim)
-    mags = np.abs([_amplitudes(flat, v.matrix) for _, v in rows])
-    mags = mags.reshape(len(rows), trials, k)
-    scale = np.array([(w, DEFAULT_TOL * v.hs_norm) for w, v in rows])
-    story = mags.max(axis=2) > scale[:, 1:]
-    prior = scale[:, :1] * story
-    with np.errstate(all="ignore"):  # a row no story or sum owns is unread
-        weights = mags ** 2
-        total = weights.sum(axis=2, keepdims=True)
-        probs = weights / total
-        lo, hi = _SAFE_RANGE
-        if not lo <= total.min() <= total.max() <= hi:
-            for r, t in np.argwhere(~((total >= lo) & (total <= hi))[..., 0]):
-                probs[r, t] = _abl(mags[r, t]) if story[r, t] else 0.0
-        out, start = [], 0
-        for side in sides:
-            part = slice(start, start + len(side))
-            start = part.stop
-            if len(side) == 1:  # w / w = 1 exactly: the row itself
-                out.append((probs[part.start], story[part.start]))
-                continue
-            total = np.add.accumulate(prior[part])[-1]
+    mags, story = _story_pass(stacks, [v for _, v in rows])
+    probs = _abl(mags if story.all()
+                 else np.where(story[..., np.newaxis], mags, 1.0))
+    prior = np.array([w for w, _ in rows])[:, np.newaxis] * story
+    out, start = [], 0
+    for side in sides:
+        part = slice(start, start + len(side))
+        start = part.stop
+        if len(side) == 1:  # w / w = 1 exactly: the row itself
+            out.append((probs[part.start], story[part.start]))
+            continue
+        total = np.add.accumulate(prior[part])[-1]
+        with np.errstate(invalid="ignore"):  # 0 / 0 where no row is read
             terms = (prior[part] / total)[..., np.newaxis] * probs[part]
-            out.append((np.add.accumulate(terms)[-1], total > 0.0))
+        out.append((np.add.accumulate(terms)[-1], total > 0.0))
     return out
 
 
-def _gaps(a, b, stacks: np.ndarray) -> np.ndarray:
+def _gaps(a, b, stacks: np.ndarray) -> tuple:
     """The gap rule (module docstring) of two (weight, vector) component
-    lists on each trial of a (T, k, d, d) stack."""
+    lists on each trial of a (T, k, d, d) stack, and a's (T, k)
+    statistics."""
     (sa, ha), (sb, hb) = _statistics(stacks, a, b)
-    return np.where(ha & hb, np.abs(sa - sb).max(axis=1), ha != hb)
+    return np.where(ha & hb, np.abs(sa - sb).max(axis=1), ha != hb), sa
+
+
+def trial_gaps(a: Mixture, b: Mixture, k: int, seed, keys) -> tuple:
+    """The gap rule of two mixtures on T random measurements drawn and
+    scored in one stack, trial t being ``random_measurement(d, k,
+    [seed, *keys[t]])``: the (T,) gaps, a's (T, k) statistics and the
+    (T, k, d, d) projector stacks."""
+    stacks = _random_stacks(a.dim, k, seed, keys)
+    return (*_gaps(a.components, b.components, stacks), stacks)
 
 
 def mixture_statistics(mix: Mixture, m: Measurement) -> OutcomeDistribution:
@@ -213,14 +209,14 @@ def replicates_on(a: Mixture, b: Mixture, m: Measurement) -> bool:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"mixture dims differ: {a.dim} != {b.dim}")
     return bool(_gaps(a.components, b.components,
-                      m._stacked[np.newaxis])[0] <= DEFAULT_TOL)
+                      m._stacked[np.newaxis])[0][0] <= DEFAULT_TOL)
 
 
 def time_reversal_equivalence_check(v: TwoStateVector, measurements) -> bool:
     """True iff v and its time reversal are indistinguishable, by the gap
     rule of ``replicates_on``, on every measurement in the list."""
     fwd, rev = ((1.0, v),), ((1.0, time_reverse(v)),)
-    return all(_gaps(fwd, rev, m._stacked[np.newaxis])[0] <= DEFAULT_TOL
+    return all(_gaps(fwd, rev, m._stacked[np.newaxis])[0][0] <= DEFAULT_TOL
                for m in _items(measurements, "measurements"))
 
 
@@ -272,9 +268,8 @@ def search_distinguishing_measurement(
     start, size = 0, 1
     while start < trials:
         stop = min(trials, start + size)
-        stacks = _random_stacks(a.dim, outcomes_per_trial, seed,
-                                [(t,) for t in range(start, stop)])
-        gaps = _gaps(a.components, b.components, stacks)
+        gaps, _, stacks = trial_gaps(a, b, outcomes_per_trial, seed,
+                                     [(t,) for t in range(start, stop)])
         hits = np.flatnonzero(gaps > DEFAULT_TOL)
         if hits.size:
             t = hits[0]

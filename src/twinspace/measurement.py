@@ -355,57 +355,58 @@ def _amplitudes(stacked: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.einsum("kij,...ji->...k", stacked, matrix)
 
 
-def _story_magnitudes(v: TwoStateVector,
-                      m: Measurement) -> tuple[np.ndarray, bool]:
-    """Outcome amplitude magnitudes |A_i| of (v, m) and whether the pair
-    forms a story by the package's one story rule
-    max_i |A_i| > DEFAULT_TOL * ||v||."""
-    mags = np.abs(outcome_amplitudes(v, m))
-    return mags, float(mags.max()) > DEFAULT_TOL * v.hs_norm
+def _is_story(mags: np.ndarray, hs_norm) -> np.ndarray:
+    """The package's one story rule on amplitude magnitudes, along the last
+    axis: max_i |A_i| > DEFAULT_TOL * ||v||."""
+    return mags.max(axis=-1) > DEFAULT_TOL * hs_norm
+
+
+def _story_pass(stacks: np.ndarray, vectors) -> tuple:
+    """The one per-component pass: |A_i| (C, T, k) of each of C vectors on
+    each measurement of a (T, k, d, d) stack, one amplitude sum per vector,
+    and the (C, T) story mask.  Mixture statistics and Monte Carlo
+    experiments read their story rows from it."""
+    trials, k, dim = stacks.shape[:3]
+    if vectors[0].dim != dim:  # the callers' vectors share one dim
+        raise DimensionMismatchError(
+            f"vector dim {vectors[0].dim} != measurement dim {dim}")
+    flat = stacks.reshape(trials * k, dim, dim)
+    mags = np.abs([_amplitudes(flat, v.matrix) for v in vectors])
+    mags = mags.reshape(len(vectors), trials, k)
+    return mags, _is_story(mags, np.array([[v.hs_norm] for v in vectors]))
 
 
 def _required_story(v: TwoStateVector, m: Measurement) -> np.ndarray:
     """|A_i| of the story (v, m); NotAStory when the pair forms none."""
-    mags, story = _story_magnitudes(v, m)
-    if not story:
+    mags = np.abs(outcome_amplitudes(v, m))
+    if not _is_story(mags, v.hs_norm):
         raise NotAStoryError("every outcome amplitude vanishes; conditional "
                              "probabilities are undefined")
     return mags
 
 
-def _story_rows(components, m: Measurement) -> list:
-    """The one per-component pass: (index, weight, |A_i|) for each
-    positive-weight (weight, vector) component that forms a story with
-    ``m``, in component order.  Both mixture rules read only these rows."""
-    rows = []
-    for c, (w, v) in enumerate(components):
-        if w > 0.0:
-            mags, story = _story_magnitudes(v, m)
-            if story:
-                rows.append((c, w, mags))
-    return rows
-
-
 def _abl(mags: np.ndarray) -> np.ndarray:
-    """The ABL rule |A_i|^2 / sum_j |A_j|^2 on the amplitude magnitudes of
-    a story.
+    """The ABL rule |A_i|^2 / sum_j |A_j|^2 along the last axis of story
+    amplitude magnitudes, over any leading axes.
 
-    Magnitudes whose squares sum outside _SAFE_RANGE are first divided by
-    their norm.  A peak |A_i| above _SQRT_SAFE_MAX already puts the sum
-    there, so it is rescued before any square can overflow.
+    A row whose squares sum outside _SAFE_RANGE is first divided by its
+    norm.  A peak |A_i| above _SQRT_SAFE_MAX already puts the sum there,
+    so it is rescued before any square can overflow.
     """
     if mags.max() <= _SQRT_SAFE_MAX:
         weights = mags ** 2
-        total = float(np.sum(weights))
-        if _SAFE_RANGE[0] <= total <= _SAFE_RANGE[1]:
+        total = weights.sum(axis=-1, keepdims=True)
+        if _SAFE_RANGE[0] <= total.min() and total.max() <= _SAFE_RANGE[1]:
             return weights / total
+    if mags.ndim > 1:  # rescue row by row
+        return np.array([_abl(row) for row in mags])
     weights = _unit(mags) ** 2
     return weights / float(np.sum(weights))
 
 
 def forms_story(v: TwoStateVector, m: Measurement) -> bool:
     """True iff max_i |A_i| > DEFAULT_TOL * ||v||: the story rule."""
-    return _story_magnitudes(v, m)[1]
+    return bool(_is_story(np.abs(outcome_amplitudes(v, m)), v.hs_norm))
 
 
 def _check_weights(components, *kinds: type) -> tuple:

@@ -55,7 +55,7 @@ from .measurement import (
     OutcomeDistribution,
     _amplitudes,
     _check_weights,
-    _story_rows,
+    _story_pass,
 )
 
 #: Trials per RNG block (the shard granularity of the seeding contract).
@@ -105,8 +105,11 @@ class MixtureExperiment:
             _check_unit(post, "post")
         trials = _count(self.trials, "trials")
         _rng(self.seed, 0)  # block 0's seeding: a bad seed fails here
-        rows = _story_rows([(w, _pair_vector(pre, post))
-                            for w, pre, post in comps], self.measurement)
+        mags, story = _story_pass(
+            self.measurement._stacked[np.newaxis],
+            [_pair_vector(pre, post) for _, pre, post in comps])
+        rows = [(c, w, mags[c, 0]) for c, (w, _, _) in enumerate(comps)
+                if w > 0.0 and story[c, 0]]
         if not rows:
             raise NotAStoryError(
                 "|pre> (x) <post| forms no story with the measurement; "

@@ -538,13 +538,13 @@ def _schmidt_vectors(_):
 def _pair_vectors(monkeypatch):
     """The per-component vectors an experiment builds."""
     seen = []
-    rows = montecarlo._story_rows
+    rows = montecarlo._story_pass
 
-    def spy(comps, m):
-        seen.extend(v for _, v in comps)
-        return rows(comps, m)
+    def spy(stacks, vectors):
+        seen.extend(vectors)
+        return rows(stacks, vectors)
 
-    monkeypatch.setattr(montecarlo, "_story_rows", spy)
+    monkeypatch.setattr(montecarlo, "_story_pass", spy)
     diagonal = WS.measurement("diagonal")
     PrePostExperiment(*UNIT_PAIR, diagonal, 10, 0)
     MixtureExperiment(((0.5, *UNIT_PAIR),

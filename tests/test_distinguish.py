@@ -54,7 +54,7 @@ from twinspace.distinguish import (
     _gaps,
     _statistics,
 )
-from twinspace.measurement import _abl, _random_stacks, _story_rows
+from twinspace.measurement import _random_stacks
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
 
 WS = builtin_workspace()
@@ -379,14 +379,15 @@ def test_distributions_built_only_where_returned(builds):
 
 
 def per_trial_statistics(components, m):
-    """The prior-weighted rule on one measurement, row by row: the story
-    rows of measurement._story_rows, the scalar ABL rule, Python sums in
-    component order; None when there are no rows."""
-    rows = _story_rows(components, m)
+    """The prior-weighted rule on one measurement, component by component:
+    forms_story, abl_probabilities, Python sums in component order; None
+    when no positive-weight component forms a story."""
+    rows = [(w, v) for w, v in components if w > 0.0 and forms_story(v, m)]
     if not rows:
         return None
-    total = sum(w for _, w, _ in rows)
-    return sum((w / total) * _abl(mags) for _, w, mags in rows)
+    total = sum(w for w, _ in rows)
+    return sum((w / total) * abl_probabilities(v, m).probabilities
+               for w, v in rows)
 
 
 def per_trial_gap(a, b, m):
@@ -416,7 +417,7 @@ def test_stacked_rule_equals_the_row_by_row_rule_bit_for_bit():
         stacks = np.array([m._stacked for m in ms])
         for factor in (1.0, 1e-300, 1e-160, 1e160, 1e300):
             sa, sb = scaled(a, factor), scaled(b, factor)
-            gaps = _gaps(sa.components, sb.components, stacks)
+            gaps, _ = _gaps(sa.components, sb.components, stacks)
             (stats, found), = _statistics(stacks, sa.components)
             for t, m in enumerate(ms):
                 assert float.hex(float(gaps[t])) == float.hex(

@@ -2,17 +2,17 @@
 
 Usage, from the root of a twinspace checkout:
 
-    python3 tools/compare.py BASE_REV --out BENCH_x.json \\
-        [--pairs 10] [--seconds 10] [--seeds 0 5] [--workloads sweep]
+    python3 tools/compare.py BASE_REV --out BENCH_x.json [--seeds 0 7]
 
 The base revision is checked out with ``git worktree add`` under
 ``.perfbench_out/`` and removed again at the end; the other side is this
-checkout's working tree.  For each workload and seed the script runs
-``--pairs`` interleaved pairs of untraced ``perfbench/run.py`` runs, one per
-side, alternating which side goes first, and writes one JSON file: per
-workload, seed and metric of BENCHMARK.json, each side's runs, median and
-quartiles, and how many pairs this checkout won (strictly better in the
-metric's direction); per run, the failed and attempted operation counts.
+checkout's working tree.  For each workload of BENCHMARK.json and each seed
+the script runs PAIRS interleaved pairs of untraced ``perfbench/run.py``
+runs of the benchmark's ``run_seconds``, one per side, alternating which
+side goes first, and writes one JSON file: per workload, seed and metric of
+BENCHMARK.json, each side's runs, median and quartiles, and how many pairs
+this checkout won (strictly better in the metric's direction); per run, the
+failed and attempted operation counts.
 It also records the Python and numpy versions, the core count, the BLAS
 thread count the benchmark sets, and both revisions.
 
@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 OUTDIR = ".perfbench_out"
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -74,15 +75,12 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("base", help="git revision to compare against")
     p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=10)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--workloads", nargs="+", default=None)
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
     args = p.parse_args(argv)
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     sys.path.insert(0, "perfbench")
     from run import BLAS_THREADS  # the BLAS thread count each run sets
 
@@ -99,20 +97,20 @@ def main(argv=None) -> int:
             check=True, capture_output=True, text=True).stdout.strip(),
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": int(BLAS_THREADS),
-        "pairs": args.pairs, "seconds": args.seconds, "results": [],
+        "pairs": PAIRS, "seconds": seconds, "results": [],
     }
     try:
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             for seed in args.seeds:
                 runs = {"base": [], "head": []}
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = (("base", "head") if i % 2 == 0
                              else ("head", "base"))
                     for side in order:
                         root = worktree if side == "base" else os.getcwd()
                         runs[side].append(
-                            bench(root, workload, seed, args.seconds))
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}"
+                            bench(root, workload, seed, seconds))
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}"
                           " done", file=sys.stderr)
                 result["results"].append({
                     "workload": workload, "seed": seed,
