@@ -12,9 +12,10 @@ u_c = w_c / sum_j |A_j(v_c)|^2 (normalized) reproduces these statistics.
 The central question here: can the statistics of a *non-separable*
 two-state vector be replicated by a mixture of separable ones?  Tooling:
 
-* ``replicates_on``, ``search_distinguishing_measurement`` and
-  ``time_reversal_equivalence_check`` apply one gap rule per measurement
-  of a stack (one, except in the search's doubling chunks of trials):
+* ``replicates_on``, ``search_distinguishing_measurement``,
+  ``trial_gaps`` and ``time_reversal_equivalence_check`` apply one gap
+  rule per measurement of a stack (one measurement, except for the random
+  trials of ``trial_gaps`` and of the search's doubling chunks):
   0 when neither side forms a story, 1 when exactly one does, otherwise
   the max-norm gap of the two distributions; the sides are told apart iff
   the gap exceeds DEFAULT_TOL,

@@ -53,6 +53,7 @@ from twinspace.distinguish import (
     DEFAULT_ANCHOR_FLOOR,
     _gaps,
     _statistics,
+    trial_gaps,
 )
 from twinspace.measurement import _random_stacks
 from twinspace.workspace import QUTRIT_FAMILY, builtin_workspace
@@ -428,6 +429,23 @@ def test_stacked_rule_equals_the_row_by_row_rule_bit_for_bit():
                     np.testing.assert_array_equal(stats[t], expected)
                     np.testing.assert_array_equal(
                         mixture_statistics(sa, m).probabilities, expected)
+
+
+def test_trial_gaps_score_each_key_on_its_own_measurement():
+    """trial_gaps scores trial t on random_measurement(d, k, [seed,
+    *keys[t]]): its stack, gap and first-side statistics carry the bits of
+    that measurement and of the row-by-row rule on it."""
+    keys = [(1, t) for t in range(5)] + [(2, 7, t) for t in range(3)]
+    for i, (d, k, _, a, b) in enumerate(gap_cases(47, 16)):
+        gaps, stats, stacks = trial_gaps(a, b, k, 47 + i, keys)
+        for t, key in enumerate(keys):
+            m = random_measurement(d, k, [47 + i, *key])
+            np.testing.assert_array_equal(stacks[t], m._stacked)
+            assert float.hex(float(gaps[t])) == float.hex(
+                per_trial_gap(a, b, m))
+            expected = per_trial_statistics(a.components, m)
+            if expected is not None:
+                np.testing.assert_array_equal(stats[t], expected)
 
 
 def near_cases(seed, count):
