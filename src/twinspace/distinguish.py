@@ -27,8 +27,8 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
 * ``separable_feasibility`` attacks the resulting bilinear system with one
   batched Levenberg-Marquardt descent of seeded starts over unit vectors
   alpha, beta (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), numpy only,
-  three-valued verdict; ``scan_separable_residual`` samples it unanchored,
-  drawing the next batch on a library thread while it evaluates this one,
+  three-valued verdict; ``scan_separable_residual`` samples it unanchored
+  in seeded batches on the library's threads, as the Monte Carlo blocks,
 * ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
   coefficient stack, eliminates exactly on its (d, d) coefficient arrays
   and prints the contradiction, and
@@ -50,11 +50,11 @@ from .core import (
     DEFAULT_TOL,
     StateVector,
     TwoStateVector,
-    _ahead,
     _check_unit,
     _count,
     _frozen,
     _items,
+    _map,
     _plain,
     _rng,
     _unchecked,
@@ -92,7 +92,8 @@ _DESCENT_STEPS = 60
 #: (alpha, beta), so a damping that underflows against it breaks the solve.
 _DAMPING_FLOOR = 1e-12
 
-#: Pairs per batch of scan_separable_residual; longer scans repeat whole ones.
+#: Pairs per batch of scan_separable_residual, each drawn from its own
+#: generator; longer scans add whole batches.
 _SCAN_BATCH = 1 << 16
 
 #: Complex entries (1 MB) per chunk of search_distinguishing_measurement.
@@ -515,14 +516,15 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
 
     The least sum_z |alpha^T C_z beta|^2 / (||alpha||^2 ||beta||^2) over
     ``samples`` seeded Gaussian pairs: no anchor term, so it can vanish where
-    the anchored residual cannot.  Batches of _SCAN_BATCH make a scan of
-    k * _SCAN_BATCH samples extend one of j * _SCAN_BATCH for j <= k; a
-    partial last batch draws other samples.  On library threads the next
-    batch is drawn (in order, on one thread) while this one is evaluated, so
-    the samples are the same and at most two batch draws are live.
+    the anchored residual cannot.  Batch b holds samples b * _SCAN_BATCH
+    up to (b + 1) * _SCAN_BATCH and draws them from its own
+    ``_rng(seed, b)``, one chunk at a time, so a scan of k * _SCAN_BATCH
+    samples extends one of j * _SCAN_BATCH for j <= k; a partial last batch
+    draws other samples.  The batches run on the library's threads
+    (``core._map``), and the result is the same on any number of them.
     """
     _count(samples, "samples")
-    rng = _rng(seed)
+    _rng(seed, 0)  # batch 0's seeding: a bad seed fails here, also at z = 0
     cs = sys.stack[:-1]
     z, d = len(cs), sys.dim
     if z == 0:
@@ -530,13 +532,12 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     cmat = cs.transpose(1, 0, 2).reshape(d, z * d)
     step = max(1, 2 ** 16 // (z * d))  # alpha^T C_z within 1 MB per chunk
 
-    def draw(start: int) -> np.ndarray:  # Re, Im of alpha, then of beta
-        return rng.standard_normal((4, min(_SCAN_BATCH, samples - start), d))
-
-    def floor(g: np.ndarray) -> float:
-        best = np.inf
-        for lo in range(0, g.shape[1], step):
-            x = g[:, lo:lo + step]
+    def batch(i: int) -> float:
+        rng, best = _rng(seed, i), np.inf
+        end = min((i + 1) * _SCAN_BATCH, samples)
+        for lo in range(i * _SCAN_BATCH, end, step):
+            # Re, Im of alpha, then of beta
+            x = rng.standard_normal((4, min(step, end - lo), d))
             a, b = np.empty((2, x.shape[1], d), np.complex128)
             a.real, a.imag, b.real, b.imag = x
             f = np.einsum("nzl,nl->nz", (a @ cmat).reshape(len(a), z, d),
@@ -547,7 +548,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
             best = min(best, float(np.min(res)))
         return best
 
-    return min(_ahead(draw, floor, range(0, samples, _SCAN_BATCH)))
+    return min(_map(batch, range(-(-samples // _SCAN_BATCH))))
 
 
 # ---------------------------------------------------------------------------

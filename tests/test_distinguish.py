@@ -882,21 +882,31 @@ def rank_one_system(d, seed):
     return zero_constraints(TwoStateVector(m.projectors[0].matrix), [m])
 
 
-def reference_scan(system, samples, seed):
-    """The scan by its definition: the same _rng(seed) draws in batches of
-    _SCAN_BATCH as (Re alpha, Im alpha, Re beta, Im beta), unit rows, and
-    one einsum for the amplitudes alpha^T C_z beta of each sample."""
+def reference_floors(system, samples, seed):
+    """Each batch's floor by the scan's definition: batch b draws its
+    samples b * _SCAN_BATCH up to (b + 1) * _SCAN_BATCH from _rng(seed, b),
+    one chunk of ``step`` samples at a time, as (Re alpha, Im alpha,
+    Re beta, Im beta); unit rows, and one einsum for the amplitudes
+    alpha^T C_z beta of each sample."""
     cs, d = system.stack[:-1], system.dim
-    rng = _rng(seed)
-    best = np.inf
-    for lo in range(0, samples, _SCAN_BATCH):
-        g = rng.standard_normal((4, min(_SCAN_BATCH, samples - lo), d))
+    if len(cs) == 0:
+        return [0.0]
+    step = max(1, 2 ** 16 // (len(cs) * d))
+    floors = []
+    for b, lo in enumerate(range(0, samples, _SCAN_BATCH)):
+        rng, n = _rng(seed, b), min(_SCAN_BATCH, samples - lo)
+        g = np.concatenate([rng.standard_normal((4, min(step, n - c), d))
+                            for c in range(0, n, step)], axis=1)
         a, b = g[0] + 1j * g[1], g[2] + 1j * g[3]
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         amps = np.einsum("nk,zkl,nl->nz", a, cs, b)
-        best = min(best, float(np.min(np.sum(np.abs(amps) ** 2, axis=1))))
-    return best
+        floors.append(float(np.min(np.sum(np.abs(amps) ** 2, axis=1))))
+    return floors
+
+
+def reference_scan(system, samples, seed):
+    return min(reference_floors(system, samples, seed))
 
 
 @pytest.mark.parametrize("d, samples", [
@@ -916,25 +926,38 @@ def test_scan_matches_its_definition(d, samples):
     assert (floor == 0.0) == (d == 1)
 
 
+def test_scan_minimum_past_the_first_batch_matches_its_definition():
+    """Three d = 4 batches whose least floor is batch 2's."""
+    system = rank_one_system(4, seed=4)
+    floors = reference_floors(system, 3 * _SCAN_BATCH, 11)
+    assert int(np.argmin(floors)) == 2
+    floor = scan_separable_residual(system, 3 * _SCAN_BATCH, 11)
+    assert floor == pytest.approx(min(floors), rel=1e-12, abs=0.0)
+
+
 def test_scan_of_whole_batches_extends_a_shorter_one():
     system = qutrit_system()
     floors = [scan_separable_residual(system, k * _SCAN_BATCH, 5)
               for k in (1, 2, 3)]
     assert floors[0] >= floors[1] >= floors[2] > 0.0
+    per_batch = reference_floors(system, 3 * _SCAN_BATCH, 5)
+    for k, floor in enumerate(floors, 1):
+        assert floor == pytest.approx(min(per_batch[:k]), rel=1e-12, abs=0.0)
 
 
 def test_scan_memory_is_bounded_by_the_batch_draw():
-    """The (4, 2**16, 16) float64 draw is 32 MB; the d = 16 kernel holds no
-    (n, d^2) pair array beside it."""
+    """Three d = 16 batches, each drawn one (4, 273, 16) float64 chunk at a
+    time: no batch draw (32 MB at 2**16 samples) and no (n, d^2) pair
+    array is held."""
     system = rank_one_system(16, seed=0)
     assert len(system.zero_outcomes) == 15
     tracemalloc.start()
     try:
-        scan_separable_residual(system, _SCAN_BATCH, 0)
+        scan_separable_residual(system, 3 * _SCAN_BATCH, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 4e6
 
 
 def test_scan_runs_at_max_dim():

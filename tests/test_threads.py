@@ -189,34 +189,29 @@ def test_scan_is_bitwise_equal_on_any_worker_count(monkeypatch, name,
     assert (floors[0] == (0.0).hex()) == (d == 1)
 
 
-class _SecondDrawFails:
-    """A generator whose second draw raises."""
-
-    def __init__(self, rng):
-        self.rng, self.draws = rng, 0
+class _Batch1Fails:
+    """Batch 1's generator: its draws raise."""
 
     def standard_normal(self, shape):
-        self.draws += 1
-        if self.draws == 2:
-            raise FloatingPointError("draw 2")
-        return self.rng.standard_normal(shape)
+        raise FloatingPointError("batch 1")
 
 
 @pytest.mark.parametrize("n", WORKERS)
 def test_an_error_in_a_scan_draw_reaches_the_caller(monkeypatch, n):
     _set_workers(monkeypatch, n)
     rng = distinguish._rng
-    monkeypatch.setattr(distinguish, "_rng",
-                        lambda seed: _SecondDrawFails(rng(seed)))
+    monkeypatch.setattr(distinguish, "_rng", lambda seed, *keys: (
+        _Batch1Fails() if keys == (1,) else rng(seed, *keys)))
     before = threading.enumerate()
-    with pytest.raises(FloatingPointError, match="^draw 2$"):
+    with pytest.raises(FloatingPointError, match="^batch 1$"):
         scan_separable_residual(_rank_one_system(3, 3), 3 * _SCAN_BATCH, 0)
     assert threading.enumerate() == before
 
 
 def test_threaded_scan_holds_at_most_two_draws(monkeypatch):
-    """Three d = 16 batches on two workers: each (4, 2**16, 16) float64
-    draw is 32 MB, and the next one is drawn while this one is evaluated."""
+    """Three d = 16 batches on two workers: each worker holds one
+    (4, 273, 16) float64 chunk draw and its 1 MB of amplitudes, never a
+    whole (4, 2**16, 16) batch draw of 32 MB."""
     _set_workers(monkeypatch, 2)
     system = _rank_one_system(16, 0)
     tracemalloc.start()
@@ -225,54 +220,7 @@ def test_threaded_scan_holds_at_most_two_draws(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80e6
-
-
-def test_ahead_produces_in_order_on_one_other_thread(monkeypatch):
-    _set_workers(monkeypatch, 2)
-    before = threading.enumerate()
-    made = []
-
-    def produce(x):
-        made.append((x, threading.get_ident()))
-        return x * x
-
-    assert core._ahead(produce, lambda y: y + 1, range(6)) == \
-        [x * x + 1 for x in range(6)]
-    assert [x for x, _ in made] == list(range(6))
-    assert len({t for _, t in made}) == 1
-    assert made[0][1] != threading.get_ident()
-    assert threading.enumerate() == before
-
-
-@pytest.mark.parametrize("n, items", [(1, 6), (5, 1)])
-def test_ahead_stays_on_the_caller_without_two_workers_and_items(
-        monkeypatch, n, items):
-    _set_workers(monkeypatch, n)
-    idents = core._ahead(lambda _: threading.get_ident(), lambda t: t,
-                         range(items))
-    assert idents == [threading.get_ident()] * items
-
-
-@pytest.mark.parametrize("stage", ["produce", "consume"])
-@pytest.mark.parametrize("bad", range(4))
-def test_an_error_in_either_ahead_stage_reaches_the_caller(monkeypatch,
-                                                           stage, bad):
-    _set_workers(monkeypatch, 2)
-    before = threading.enumerate()
-
-    def fn(x):
-        if x == bad:
-            raise ValueError(f"item {x}")
-        return x
-
-    def same(x):
-        return x
-
-    produce, consume = (fn, same) if stage == "produce" else (same, fn)
-    with pytest.raises(ValueError, match=f"^item {bad}$"):
-        core._ahead(produce, consume, range(4))
-    assert threading.enumerate() == before
+    assert peak < 8e6
 
 
 def _child_digest(conn):

@@ -4,15 +4,19 @@ Usage, from the root of a twinspace checkout:
 
     python3 tools/compare.py BASE_REV --out BENCH_x.json [--seeds 0 7]
 
-The base revision is checked out with ``git worktree add`` under
-``.perfbench_out/`` and removed again at the end; the other side is this
-checkout's working tree.  For each workload of BENCHMARK.json and each seed
+The base revision is unpacked with ``git archive`` under ``.perfbench_out/``
+and removed again at the end; the other side is this checkout's working
+tree.  For each workload of BENCHMARK.json and each seed
 the script runs PAIRS interleaved pairs of untraced ``perfbench/run.py``
 runs of the benchmark's ``run_seconds``, one per side, alternating which
 side goes first, and writes one JSON file: per workload, seed and metric of
 BENCHMARK.json, each side's runs, median and quartiles, and how many pairs
 this checkout won (strictly better in the metric's direction); per run, the
 failed and attempted operation counts.
+Each row of the CLI byte contract, ``tests/cli_stdout.tsv`` of this
+checkout, runs as ``python -m twinspace.cli <argv>`` on each side's source,
+in the caller's environment; the file records the row's pinned exit code
+and stdout SHA-256, each side's, and whether the two sides match.
 It also records the Python and numpy versions, the core count, the BLAS
 thread count the benchmark sets, and both revisions.
 
@@ -22,15 +26,18 @@ The exit code is 0 only when every run finished and passed its checks.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 
 OUTDIR = ".perfbench_out"
 PAIRS = 10
+CLI_TABLE = os.path.join("tests", "cli_stdout.tsv")
 
 
 def git(*args: str) -> str:
@@ -49,6 +56,29 @@ def bench(root: str, workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"{workload} in {root}: exit {proc.returncode}: "
                            f"{proc.stderr.strip()}")
     return json.loads(lines[-1])
+
+
+def cli_rows() -> list:
+    """Each row of CLI_TABLE: its argv and its pinned exit code and SHA-256."""
+    rows = []
+    with open(CLI_TABLE, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#") or not line.strip():
+                continue
+            code, sha, args = line.rstrip("\n").split("\t")[:3]
+            rows.append({"args": args,
+                         "pinned": {"exit": int(code), "sha256": sha}})
+    return rows
+
+
+def cli_run(root: str, args: str) -> dict:
+    """Exit code and stdout SHA-256 of the CLI on the source in ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinspace.cli", *args.split(" ")], cwd=root,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True)
+    return {"exit": proc.returncode,
+            "sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
 def summary(values: list) -> dict:
@@ -85,9 +115,11 @@ def main(argv=None) -> int:
     from run import BLAS_THREADS  # the BLAS thread count each run sets
 
     base_rev = git("rev-parse", args.base)
-    worktree = os.path.abspath(os.path.join(OUTDIR, f"base-{base_rev[:12]}"))
-    os.makedirs(OUTDIR, exist_ok=True)
-    git("worktree", "add", "--detach", worktree, base_rev)
+    base_dir = os.path.abspath(os.path.join(OUTDIR, f"base-{base_rev[:12]}"))
+    os.makedirs(base_dir)
+    archive = subprocess.run(["git", "archive", base_rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", base_dir], input=archive, check=True)
     result = {
         "base": base_rev, "head": git("rev-parse", "HEAD"),
         "head_dirty": bool(git("status", "--porcelain")),
@@ -98,8 +130,13 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": int(BLAS_THREADS),
         "pairs": PAIRS, "seconds": seconds, "results": [],
+        "cli_rows": cli_rows(),
     }
     try:
+        for row in result["cli_rows"]:
+            for side, root in (("base", base_dir), ("head", os.getcwd())):
+                row[side] = cli_run(root, row["args"])
+            row["match"] = row["base"] == row["head"]
         for workload in (w["name"] for w in spec["workloads"]):
             for seed in args.seeds:
                 runs = {"base": [], "head": []}
@@ -107,7 +144,7 @@ def main(argv=None) -> int:
                     order = (("base", "head") if i % 2 == 0
                              else ("head", "base"))
                     for side in order:
-                        root = worktree if side == "base" else os.getcwd()
+                        root = base_dir if side == "base" else os.getcwd()
                         runs[side].append(
                             bench(root, workload, seed, seconds))
                     print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}"
@@ -122,7 +159,7 @@ def main(argv=None) -> int:
         print(f"compare failed: {err}", file=sys.stderr)
         return 1
     finally:
-        git("worktree", "remove", "--force", worktree)
+        shutil.rmtree(base_dir)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
