@@ -28,7 +28,7 @@ two-state vector be replicated by a mixture of separable ones?  Tooling:
   batched Levenberg-Marquardt descent of seeded starts over unit vectors
   alpha, beta (Phi = sum_k alpha_k |k> (x) sum_l beta_l <l|), numpy only,
   three-valued verdict; ``scan_separable_residual`` samples it unanchored
-  in seeded batches on the library's threads, as the Monte Carlo blocks,
+  in seeded batches on the library's threads, like the Monte Carlo blocks,
 * ``reduce_qutrit_family`` accepts only the bundled signed-qutrit
   coefficient stack, eliminates exactly on its (d, d) coefficient arrays
   and prints the contradiction, and

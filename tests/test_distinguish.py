@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinspace import (
     DEFAULT_TOL,
@@ -15,6 +17,7 @@ from twinspace import (
     DimensionMismatchError,
     FeasibilityReport,
     FeasibilityVerdict,
+    Measurement,
     Mixture,
     NoStoryInMixtureError,
     NotAStoryError,
@@ -893,8 +896,8 @@ def reference_floors(system, samples, seed):
         return [0.0]
     step = max(1, 2 ** 16 // (len(cs) * d))
     floors = []
-    for b, lo in enumerate(range(0, samples, _SCAN_BATCH)):
-        rng, n = _rng(seed, b), min(_SCAN_BATCH, samples - lo)
+    for i, lo in enumerate(range(0, samples, _SCAN_BATCH)):
+        rng, n = _rng(seed, i), min(_SCAN_BATCH, samples - lo)
         g = np.concatenate([rng.standard_normal((4, min(step, n - c), d))
                             for c in range(0, n, step)], axis=1)
         a, b = g[0] + 1j * g[1], g[2] + 1j * g[3]
@@ -1164,3 +1167,95 @@ def test_valid_seeds_draw_the_same_streams():
         np.testing.assert_array_equal(
             _rng(seed, *keys).random(4),
             np.random.default_rng(material).random(4))
+
+
+# ---------------------------------------------------------------------------
+# Properties of generic inputs, and invariance under unitary conjugation
+# ---------------------------------------------------------------------------
+# Generic inputs of d <= 4 and 1-3 components, built from the seeds that
+# hypothesis draws.  Conjugating every vector and projector by one unitary U
+# keeps each outcome amplitude Tr(P Psi), so no verdict may change.
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def haar_unitary(rng, d):
+    """A Haar-random d x d unitary: the QR of a complex Gaussian matrix,
+    with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def conjugated(u, x):
+    """U x U^dagger of a two-state vector, a measurement or a mixture."""
+    if isinstance(x, Measurement):
+        return Measurement([u @ p.matrix @ u.conj().T for p in x.projectors])
+    if isinstance(x, Mixture):
+        return Mixture(tuple((w, conjugated(u, v)) for w, v in x.components))
+    return TwoStateVector(u @ x.matrix @ u.conj().T)
+
+
+def generic_case(seed, d):
+    """A generator, a random measurement with 1..d outcomes, and a mixture
+    of 1-3 generic components of positive weight."""
+    rng = np.random.default_rng(seed)
+    m = random_measurement(d, int(rng.integers(1, d + 1)),
+                           int(rng.integers(2**32)))
+    weights = rng.random(int(rng.integers(1, 4))) + 0.1
+    mix = Mixture(tuple((float(w), random_vector(rng, d))
+                        for w in weights / weights.sum()))
+    return rng, m, mix
+
+
+def planted_replica(mix, m):
+    """A point mixture with the statistics of ``mix`` on ``m`` alone: the
+    vector sum_i sqrt(p_i) / rank_i P_i has amplitude sqrt(p_i) on P_i."""
+    p = mixture_statistics(mix, m).probabilities
+    return Mixture.point(TwoStateVector(sum(
+        np.sqrt(pi) / q.rank * q.matrix for pi, q in zip(p, m.projectors))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, d=st.integers(1, 4))
+def test_a_mixture_replicates_itself(seed, d):
+    _, m, mix = generic_case(seed, d)
+    assert replicates_on(mix, mix, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, d=st.integers(1, 4), planted=st.booleans())
+def test_verdicts_are_invariant_under_conjugation(seed, d, planted):
+    """Mixture b is either generic or planted to replicate a on m; the
+    planted one no longer does on the conjugated m unless b is conjugated
+    too."""
+    rng, m, a = generic_case(seed, d)
+    b = planted_replica(a, m) if planted else generic_case(seed + 1, d)[2]
+    v = random_vector(rng, d)
+    u = haar_unitary(rng, d)
+    verdict = replicates_on(a, b, m)
+    assert verdict or not planted
+    assert replicates_on(*(conjugated(u, x) for x in (a, b, m))) == verdict
+    assert time_reversal_equivalence_check(
+        conjugated(u, v), [conjugated(u, m)]) == \
+        time_reversal_equivalence_check(v, [m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, d=st.integers(1, 4))
+def test_mixture_statistics_are_invariant_under_conjugation(seed, d):
+    rng, m, mix = generic_case(seed, d)
+    u = haar_unitary(rng, d)
+    np.testing.assert_allclose(
+        mixture_statistics(conjugated(u, mix), conjugated(u, m)).probabilities,
+        mixture_statistics(mix, m).probabilities, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS)
+def test_conjugated_qutrit_stays_strictly_nonseparable(seed):
+    u = haar_unitary(np.random.default_rng(seed), 3)
+    report = certify_strict_nonseparability(
+        conjugated(u, QUTRIT_SIGNED), [conjugated(u, m) for m in FAMILY],
+        24, 0)
+    assert report.verdict is CertificationVerdict.STRICTLY_NONSEPARABLE_EVIDENCE
