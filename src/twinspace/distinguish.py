@@ -96,7 +96,7 @@ _DAMPING_FLOOR = 1e-12
 #: generator; longer scans add whole batches.
 _SCAN_BATCH = 1 << 16
 
-#: Complex entries (1 MB) per chunk of search_distinguishing_measurement.
+#: Complex entries (1 MB) per chunk of the search and of the residual scan.
 _CHUNK_ENTRIES = 1 << 16
 
 #: Distance to an integer within which _snap_half_gaussian snaps 2 * part.
@@ -530,7 +530,7 @@ def scan_separable_residual(sys: ZeroConstraintSystem, samples: int,
     if z == 0:
         return 0.0
     cmat = cs.transpose(1, 0, 2).reshape(d, z * d)
-    step = max(1, 2 ** 16 // (z * d))  # alpha^T C_z within 1 MB per chunk
+    step = max(1, _CHUNK_ENTRIES // (z * d))  # alpha^T C_z per chunk
 
     def batch(i: int) -> float:
         rng, best = _rng(seed, i), np.inf
@@ -744,13 +744,16 @@ _CERTIFICATION = {
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
-    verdict: CertificationVerdict
     system: ZeroConstraintSystem
     feasibility: FeasibilityReport
 
     @property
+    def verdict(self) -> CertificationVerdict:
+        return _CERTIFICATION[self.feasibility.verdict][0]
+
+    @property
     def message(self) -> str:
-        return dict(_CERTIFICATION.values())[self.verdict]
+        return _CERTIFICATION[self.feasibility.verdict][1]
 
     def to_json(self) -> dict:
         return {
@@ -781,4 +784,4 @@ def certify_strict_nonseparability(
         )
     system = zero_constraints(target, measurements)
     feas = separable_feasibility(system, starts, seed)
-    return CertificationReport(_CERTIFICATION[feas.verdict][0], system, feas)
+    return CertificationReport(system, feas)

@@ -1,13 +1,16 @@
 """Exception hierarchy for the twinspace package.
 
-Every error raised by the library derives from :class:`TwinspaceError`, so
-callers (in particular the CLI) can distinguish library failures from
-programming errors.  Operands of different dimension are one fault, a
-``DimensionMismatchError``, wherever they meet.  Measurement validation
-errors come from the one measurement rule (absolute tolerance
-``DEFAULT_TOL``, NaN failing; see ``twinspace.measurement``) and carry the
-index of the first offending projector (a rank-0 one included) or pair of
-projectors.
+Every fault the library finds in a value it is given is a
+:class:`TwinspaceError`.  The two boundaries where outside input enters,
+``cli.main`` and ``workspace._parse_entries``, catch ``TwinspaceError`` and
+nothing else: any other exception leaving them is a library defect, to be
+refused at its source.  A wrong Python type handed to a library function
+directly is a programming error, outside this contract.  Operands of
+different dimension are one fault, a ``DimensionMismatchError``, wherever
+they meet.  Measurement validation errors come from the one measurement
+rule (absolute tolerance ``DEFAULT_TOL``, NaN failing; see
+``twinspace.measurement``) and carry the index of the first offending
+projector (a rank-0 one included) or pair of projectors.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ its one-component form, and ``simulate`` and ``validate_abl`` serve every
 experiment (``simulate_mixture`` and ``validate_mixture_abl`` are other
 names for them).  Building an experiment runs the one per-component pass of
 ``measurement`` once, on one separable vector v_c = |pre_c> (x) <post_c|
-per component, and stores its rows (c, w_c, |A(v_c)|).  The story gate,
-the predictor and the sampler's acceptances all read those rows (q_i = 0
-off them).  Post-selection weights each component by its success rate
-S_c = sum_j |A_j(v_c)|^2, so accepted outcome frequencies follow the
-success-weighted rule
+per component, and stores one (component, outcome) table: |A_i(v_c)|^2 on
+the story rows (positive weight, and v_c forms a story), 0 elsewhere.  The
+story gate, the predictor and the sampler's acceptances all read that
+table (q_i = 0 off the story rows).  Post-selection weights each component
+by its success rate S_c = sum_j |A_j(v_c)|^2, so accepted outcome
+frequencies follow the success-weighted rule
 
     Prob(i) = sum_c w_c |A_i(v_c)|^2 / sum_j sum_c w_c |A_j(v_c)|^2
 
-over the rows: for one pair, the ABL rule.  It is the prior-weighted rule of
-``distinguish.mixture_statistics`` in other weights: sampling at
+over the story rows: for one pair, the ABL rule.  It is the prior-weighted
+rule of ``distinguish.mixture_statistics`` in other weights: sampling at
 u_c = w_c / S_c (normalized) reproduces the prior-weighted statistics of the
 weights w_c, so the two agree at equal weights only when all S_c are equal.
 
@@ -37,7 +38,7 @@ bit-for-bit and independent of how the blocks are split across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,9 +109,8 @@ class MixtureExperiment:
         mags, story = _story_pass(
             self.measurement._stacked[np.newaxis],
             [_pair_vector(pre, post) for _, pre, post in comps])
-        rows = [(c, w, mags[c, 0]) for c, (w, _, _) in enumerate(comps)
-                if w > 0.0 and story[c, 0]]
-        if not rows:
+        rows = np.array([w > 0.0 for w, _, _ in comps]) & story[:, 0]
+        if not rows.any():
             raise NotAStoryError(
                 "|pre> (x) <post| forms no story with the measurement; "
                 "post-selection would never succeed"
@@ -118,7 +118,8 @@ class MixtureExperiment:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _plain(self.seed))
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_joint",
+                           np.where(rows[:, None], mags[:, 0] ** 2, 0.0))
 
 
 def PrePostExperiment(pre: StateVector, post: StateVector,
@@ -165,8 +166,8 @@ def joint_probabilities(exp: MixtureExperiment) -> np.ndarray:
     """Per-outcome probability of (outcome AND successful post-selection):
     the success-weighted rule sum_c w_c |A_i(v_c)|^2 over the story rows."""
     joint = np.zeros(exp.measurement.num_outcomes)
-    for _, w, mags in exp._rows:
-        joint += w * mags ** 2
+    for (w, _, _), row in zip(exp.components, exp._joint):
+        joint += w * row
     return joint
 
 
@@ -189,10 +190,7 @@ def simulate(exp: MixtureExperiment) -> TrialLog:
     p = np.clip(p, 0.0, None)
     p = p / p.sum(axis=1, keepdims=True)
     # ... and acceptances q_i = |A_i|^2 / p_i, 0 off the story rows.
-    joint = np.zeros((n_comp, k))
-    for c, _, mags in exp._rows:
-        joint[c] = mags ** 2
-    q = np.divide(joint, p, out=np.zeros_like(joint), where=p > 0)
+    q = np.divide(exp._joint, p, out=np.zeros_like(p), where=p > 0)
     q = np.clip(q, 0.0, 1.0)
     # Component c's cumulative outcome table, offset into [c, c + 1], so
     # one search finds every trial's outcome.
@@ -270,17 +268,7 @@ class AblValidation:
 
     def to_json(self) -> dict:
         return {
-            "rows": [
-                {
-                    "outcome": row.outcome,
-                    "label": row.label,
-                    "predicted": row.predicted,
-                    "empirical": row.empirical,
-                    "deviation_sigmas": row.deviation_sigmas,
-                    "ok": row.ok,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "trials": self.trials,
             "successes": self.successes,
             "sigma_bound": self.sigma_bound,

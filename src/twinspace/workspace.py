@@ -205,7 +205,7 @@ def _parse_entries(obj):
                         for w, ref in value))
                 else:
                     value = _PARSERS[section](entry)
-            except (TwinspaceError, KeyError, TypeError, ValueError) as err:
+            except TwinspaceError as err:
                 yield section, name, None, err
                 continue
             if section == "vectors":

@@ -1,15 +1,19 @@
 """Command line contract: outputs, exit codes, JSON determinism."""
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinspace
 from twinspace import NullSubspace, TwoStateVector
@@ -566,6 +570,85 @@ def test_json_report_is_json_dumps_of_the_handlers_payload(command, capsys):
     _, payload, _ = args.handler(args)
     assert run(argv, capsys)[1] == json.dumps(
         {"command": command, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The command-line boundary: any argv exits with a documented code
+# ---------------------------------------------------------------------------
+
+_WS = builtin_workspace()
+#: The bundled names of each kind of positional argument.
+KINDS = {"vector": sorted(_WS.vectors), "state": sorted(_WS.states),
+         "measurement": sorted(_WS.measurements),
+         "mixture": sorted({*_WS.vectors, *_WS.mixture_refs}),
+         "example": ["1", "2", "3"]}
+#: Tokens that name nothing, are of another kind, or are no number.
+TOKENS = sorted({name for names in KINDS.values() for name in names}) + [
+    "", "x", "-", "--", "-1", "0", "4", "nan", "1e400", "--json", "--bogus"]
+#: Each command's positional kinds (feasibility repeats its last) and the
+#: flags it takes besides --workspace and --json.
+SHAPES = {
+    "abl": (("vector", "measurement"), ()),
+    "story": (("vector", "measurement"), ()),
+    "find-story": (("vector",), ()),
+    "nullspace": (("measurement",), ()),
+    "distinguish": (("mixture", "mixture"),
+                    ("--seed", "--trials", "--outcomes")),
+    "feasibility": (("vector", "measurement"), ("--seed", "--starts")),
+    "reproduce": (("example",), ("--seed",)),
+    "montecarlo": (("state", "state", "measurement"),
+                   ("--seed", "--trials", "--sigma-bound")),
+    "validate": ((), ()),
+}
+#: Each flag's values; every count is bounded, so no draw asks for a long
+#: run.
+FLAGS = {
+    "--seed": (st.integers(-2, 3) | st.integers(0, 2**70)).map(str),
+    "--trials": st.integers(-2, 2000).map(str),
+    "--outcomes": st.integers(-1, 5).map(str),
+    "--starts": st.integers(-1, 6).map(str),
+    "--sigma-bound": st.sampled_from(
+        ["nan", "inf", "-1", "0", "1e-300", "0.5", "4"]),
+    "--workspace": st.sampled_from(["missing.json", ".", ""]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command with positionals mostly of the right kind, some of its
+    flags, and one time in four a stray token or flag."""
+    command = draw(st.sampled_from(sorted(SHAPES)))
+    kinds, flags = SHAPES[command]
+    if command == "feasibility":
+        kinds += ("measurement",) * draw(st.integers(0, 3))
+    argv = [command]
+    for kind in kinds:
+        right = st.sampled_from(KINDS[kind])
+        argv.append(draw(st.one_of(right, right, right,
+                                   st.sampled_from(TOKENS))))
+    for flag in draw(st.permutations(flags)):
+        if draw(st.booleans()):
+            argv += [flag, draw(FLAGS[flag])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 3)) == 0:
+        stray = draw(st.sampled_from(TOKENS + sorted(FLAGS)))
+        argv += [stray, draw(FLAGS[stray])] if stray in FLAGS else [stray]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    """main catches the library's own errors and nothing else: any argv
+    returns exit code 0-3, or argparse refuses it with exit 2."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)
 
 
 #: Runs reproduce 3 and a feasibility search with scipy unimportable; the

@@ -130,13 +130,11 @@ def test_each_component_is_built_once(builds):
 
 
 def test_story_vector_is_separable_pair():
-    """The experiment's one story row holds the outcome amplitudes of the
-    separable pair |pre> (x) <post|."""
+    """The experiment's joint table, one row for its one component, holds
+    the squared outcome amplitudes of the separable pair |pre> (x) <post|."""
     pre, post = GOLDEN.components[0][1:]
-    ((c, w, mags),) = GOLDEN._rows
-    assert (c, w) == (0, 1.0)
-    np.testing.assert_array_equal(mags, np.abs(outcome_amplitudes(
-        TwoStateVector.separable(pre, post), DIAGONAL)))
+    np.testing.assert_array_equal(GOLDEN._joint, [np.abs(outcome_amplitudes(
+        TwoStateVector.separable(pre, post), DIAGONAL)) ** 2])
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_an_error_in_a_scan_draw_reaches_the_caller(monkeypatch, n):
     assert threading.enumerate() == before
 
 
-def test_threaded_scan_holds_at_most_two_draws(monkeypatch):
+def test_threaded_scan_holds_one_chunk_per_worker(monkeypatch):
     """Three d = 16 batches on two workers: each worker holds one
     (4, 273, 16) float64 chunk draw and its 1 MB of amplitudes, never a
     whole (4, 2**16, 16) batch draw of 32 MB."""

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinspace import (
     Measurement,
@@ -14,7 +16,7 @@ from twinspace import (
     errors,
 )
 from twinspace.errors import TwinspaceError, WorkspaceError
-from twinspace.workspace import QUTRIT_FAMILY, validate_workspace_file
+from twinspace.workspace import QUTRIT_FAMILY, _report, validate_workspace_file
 
 
 def test_builtin_inventory():
@@ -409,3 +411,59 @@ def test_mixture_components_may_carry_other_keys():
                {"weight": 1.0, "vector": "v", "note": "kept out"}],
                "note": "kept out"}}}
     assert Workspace.from_json_dict(doc).mixture_refs["m"] == ((1.0, "v"),)
+
+
+# ---------------------------------------------------------------------------
+# The parse boundary: any JSON document gives rows, and only WorkspaceError
+# ---------------------------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70) | st.integers(),
+    st.floats(), st.text(max_size=4), st.sampled_from(
+        ["states", "vectors", "dim", "matrix", "ket0", "ket0_bra0"]))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(
+        ["states", "vectors", "measurements", "mixtures", "dim",
+         "amplitudes", "matrix", "projectors", "labels", "components",
+         "weight", "vector"]), children, max_size=4),
+    max_leaves=12)
+BUILTIN_DOC = builtin_workspace().to_json_dict()
+
+
+@st.composite
+def edited_builtin(draw):
+    """The bundled document with up to three nodes replaced or removed:
+    the other entries keep their shape, so the edits reach the value
+    rules."""
+    doc = json.loads(json.dumps(BUILTIN_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, node = None, doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = node[key]
+        if draw(st.booleans()):
+            parent[key] = draw(JSON_DOCS)
+        else:
+            del parent[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS | edited_builtin())
+def test_any_json_document_is_refused_only_as_a_workspace_error(doc):
+    """The validate rows cover any document, and loading it either works,
+    when every row is ok, or raises WorkspaceError: no other exception
+    leaves the one parse path."""
+    rows = _report(doc)
+    assert all(isinstance(s, str) and isinstance(n, str)
+               and isinstance(msg, str) for s, n, _, msg in rows)
+    try:
+        Workspace.from_json_dict(doc)
+    except WorkspaceError:
+        assert not all(ok for _, _, ok, _ in rows)
+    else:
+        assert all(ok for _, _, ok, _ in rows)

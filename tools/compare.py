@@ -10,9 +10,10 @@ tree.  For each workload of BENCHMARK.json and each seed
 the script runs PAIRS interleaved pairs of untraced ``perfbench/run.py``
 runs of the benchmark's ``run_seconds``, one per side, alternating which
 side goes first, and writes one JSON file: per workload, seed and metric of
-BENCHMARK.json, each side's runs, median and quartiles, and how many pairs
-this checkout won (strictly better in the metric's direction); per run, the
-failed and attempted operation counts.
+BENCHMARK.json, each side's runs, median, quartiles, minimum and maximum,
+how many pairs this checkout won (strictly better in the metric's
+direction) and the metric's verdict (``verdict``); per run, the failed and
+attempted operation counts.
 Each row of the CLI byte contract, ``tests/cli_stdout.tsv`` of this
 checkout, runs as ``python -m twinspace.cli <argv>`` on each side's source,
 in the caller's environment; the file records the row's pinned exit code
@@ -83,11 +84,35 @@ def cli_run(root: str, args: str) -> dict:
 
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+    return {"runs": values, "median": median, "q1": q1, "q3": q3,
+            "min": min(values), "max": max(values)}
+
+
+def verdict(base: dict, head: dict, wins: int, bound: float,
+            lower: bool) -> str:
+    """One metric's reading of its runs, the bound a fraction of the base
+    median: "better" when head wins at least nine tenths of the pairs and
+    the medians differ by more than the base IQR in its favour; "worse"
+    when the head median is worse by more than the bound; "unresolved"
+    when the base IQR is wider than the bound, unless every head run beats
+    every base run; "unchanged" otherwise."""
+    sign = 1 if lower else -1
+    gain = sign * (base["median"] - head["median"])  # > 0: head is better
+    iqr, limit = base["q3"] - base["q1"], bound * abs(base["median"])
+    if wins >= 0.9 * len(base["runs"]) and gain > iqr:
+        return "better"
+    if -gain > limit:
+        return "worse"
+    apart = (head["max"] < base["min"]) if lower else (
+        head["min"] > base["max"])  # every head run beats every base run
+    if iqr > limit and not apart:
+        return "unresolved"
+    return "unchanged"
 
 
 def compare(spec: dict, runs: dict) -> dict:
-    """Per metric of BENCHMARK.json: each side's summary and head's wins."""
+    """Per metric of BENCHMARK.json: each side's summary, head's wins and
+    the metric's verdict."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -95,9 +120,11 @@ def compare(spec: dict, runs: dict) -> dict:
                 for s in ("base", "head")}
         wins = sum((h < b) if lower else (h > b)
                    for b, h in zip(side["base"], side["head"]))
+        base, head = summary(side["base"]), summary(side["head"])
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "base": summary(side["base"]),
-                     "head": summary(side["head"]), "head_wins": wins}
+                     "base": base, "head": head, "head_wins": wins,
+                     "verdict": verdict(base, head, wins, metric["bound"],
+                                        lower)}
     return out
 
 
